@@ -3,8 +3,10 @@
 //!
 //! Two comparisons:
 //!
-//! 1. **Warm-sweep overhead** — the same scenario grid through the
-//!    parallel sweep engine with telemetry enabled vs globally disabled
+//! 1. **Warm-sweep overhead** — the same scenario list through the
+//!    chunked sweep engine (`run_scenarios_chunked` on a `cores`-worker
+//!    pool built once, `BATCH_LANES` scenarios per job — the path serve's
+//!    miss batches take) with telemetry enabled vs globally disabled
 //!    (`hems_obs::set_enabled(false)`, which turns every record call
 //!    into one relaxed atomic load). The sweep path carries spans and
 //!    counters per scenario, so this is the end-to-end price of leaving
@@ -24,10 +26,13 @@
 //! Smoke mode (`HEMS_BENCH_SMOKE=1`): one iteration of everything, no
 //! overhead assertion (one sample proves nothing).
 
-use hems_bench::harness::{measurement_json, percentile, Harness, Json, Measurement};
+use hems_bench::harness::{measurement_json, Harness, Measurement};
 use hems_obs::clock::monotonic_ns;
+use hems_obs::json::Value;
+use hems_obs::percentile;
 use hems_pv::Irradiance;
-use hems_sim::sweep::{self, SweepGrid};
+use hems_sim::sweep::{self, SweepGrid, BATCH_LANES};
+use hems_sim::WorkerPool;
 use hems_units::Seconds;
 use std::hint::black_box;
 
@@ -52,15 +57,18 @@ fn main() {
     );
 
     // --- 1. Warm-sweep overhead, interleaved sampling. ---
+    let expanded = grid.expanded().expect("grid expands");
+    let scenarios = expanded.scenarios();
+    let pool = WorkerPool::new(cores);
     // Warm passes so LUTs/allocators are in steady state before either
     // timed configuration runs.
     for _ in 0..if c.is_smoke() { 1 } else { 4 } {
-        black_box(sweep::run_parallel(&grid, cores).expect("grid expands"));
+        black_box(sweep::run_scenarios_chunked(scenarios, &pool, BATCH_LANES));
     }
     let timed_pass = |enabled: bool| -> f64 {
         hems_obs::set_enabled(enabled);
         let t = monotonic_ns();
-        black_box(sweep::run_parallel(&grid, cores).expect("grid expands"));
+        black_box(sweep::run_scenarios_chunked(scenarios, &pool, BATCH_LANES));
         monotonic_ns().saturating_sub(t) as f64
     };
     let pairs = if c.is_smoke() { 1 } else { 60 };
@@ -151,39 +159,33 @@ fn main() {
     hems_obs::set_enabled(true);
 
     // --- JSON report at the repo root. ---
-    let report = Json::Obj(vec![
-        ("schema".into(), Json::Str("hems-bench-obs/1".into())),
-        ("smoke".into(), Json::Bool(c.is_smoke())),
-        ("threads_resolved".into(), Json::Int(cores as i64)),
-        ("scenario_count".into(), Json::Int(grid.len() as i64)),
+    let report = Value::obj(vec![
+        ("schema", Value::str("hems-bench-obs/1")),
+        ("smoke", Value::Bool(c.is_smoke())),
+        ("threads_resolved", Value::Num(cores as f64)),
+        ("scenario_count", Value::Num(grid.len() as f64)),
         (
-            "sweep_overhead".into(),
-            Json::Obj(vec![
-                ("disabled".into(), measurement_json(&disabled)),
-                ("enabled".into(), measurement_json(&enabled)),
-                ("overhead_paired".into(), Json::Num(overhead_paired)),
-                ("overhead_median".into(), Json::Num(overhead_median)),
-                ("budget".into(), Json::Num(0.02)),
+            "sweep_overhead",
+            Value::obj(vec![
+                ("disabled", measurement_json(&disabled)),
+                ("enabled", measurement_json(&enabled)),
+                ("overhead_paired", Value::Num(overhead_paired)),
+                ("overhead_median", Value::Num(overhead_median)),
+                ("budget", Value::Num(0.02)),
             ]),
         ),
         (
-            "record_cost".into(),
-            Json::Obj(vec![
-                ("counter_inc".into(), measurement_json(&counter_inc)),
-                (
-                    "histogram_record".into(),
-                    measurement_json(&histogram_record),
-                ),
-                ("span_guard".into(), measurement_json(&span_guard)),
-                (
-                    "counter_inc_disabled".into(),
-                    measurement_json(&disabled_inc),
-                ),
+            "record_cost",
+            Value::obj(vec![
+                ("counter_inc", measurement_json(&counter_inc)),
+                ("histogram_record", measurement_json(&histogram_record)),
+                ("span_guard", measurement_json(&span_guard)),
+                ("counter_inc_disabled", measurement_json(&disabled_inc)),
             ]),
         ),
         (
-            "all_measurements".into(),
-            Json::Arr(
+            "all_measurements",
+            Value::Arr(
                 [&disabled, &enabled]
                     .into_iter()
                     .chain(c.results())
@@ -193,7 +195,7 @@ fn main() {
         ),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(path, report.render() + "\n").expect("write BENCH_obs.json");
+    std::fs::write(path, report.render_pretty() + "\n").expect("write BENCH_obs.json");
 
     // Self-validation: the file on disk must carry the headline fields
     // (the verify script relies on the report existing and being sane).

@@ -20,6 +20,8 @@
 //! without paying for statistics.
 
 use hems_obs::clock::monotonic_ns;
+use hems_obs::json::Value;
+use hems_obs::{fmt_ns, percentile};
 use std::hint::black_box;
 
 /// Target minimum duration of one timed batch, in nanoseconds.
@@ -54,19 +56,6 @@ impl Measurement {
         } else {
             f64::INFINITY
         }
-    }
-}
-
-/// Formats a nanosecond count with an adaptive unit.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.1} ns")
-    } else if ns < 1e6 {
-        format!("{:.2} µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.3} s", ns / 1e9)
     }
 }
 
@@ -181,137 +170,17 @@ impl Harness {
     }
 }
 
-/// Interpolated percentile of an ascending-sorted slice.
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of nothing");
-    let rank = (p / 100.0) * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = rank - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
-}
-
-/// A minimal JSON value for the bench reports — hand-rolled so the
-/// harness stays dependency-free. Numbers render with enough precision
-/// to round-trip; non-finite numbers render as `null`.
-#[derive(Debug, Clone)]
-pub enum Json {
-    /// A number.
-    Num(f64),
-    /// An integer (rendered without a decimal point).
-    Int(i64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Renders with two-space indentation.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        let pad = |n: usize| "  ".repeat(n);
-        match self {
-            Json::Num(x) if x.is_finite() => out.push_str(&format!("{x}")),
-            Json::Num(_) => out.push_str("null"),
-            Json::Int(i) => out.push_str(&format!("{i}")),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Str(s) => {
-                out.push('"');
-                for ch in s.chars() {
-                    match ch {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad(depth + 1));
-                    item.write(out, depth + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&pad(depth));
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(&pad(depth + 1));
-                    Json::Str(k.clone()).write(out, depth + 1);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                    out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&pad(depth));
-                out.push('}');
-            }
-        }
-    }
-}
-
-/// Peak resident set size of this process in bytes, read from the
-/// kernel's `VmHWM` high-water mark in `/proc/self/status` — `std`-only,
-/// no syscall bindings. Returns `None` off Linux or if the field is
-/// missing, so callers degrade to omitting the figure rather than
-/// failing the bench.
-pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kib: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kib * 1024);
-        }
-    }
-    None
-}
-
 /// A [`Measurement`] as a JSON object.
-pub fn measurement_json(m: &Measurement) -> Json {
-    Json::Obj(vec![
-        ("name".into(), Json::Str(m.name.clone())),
-        ("samples".into(), Json::Int(m.samples as i64)),
-        ("batch".into(), Json::Int(m.batch as i64)),
-        ("median_ns".into(), Json::Num(m.median_ns)),
-        ("p95_ns".into(), Json::Num(m.p95_ns)),
-        ("min_ns".into(), Json::Num(m.min_ns)),
-        ("mean_ns".into(), Json::Num(m.mean_ns)),
-        (
-            "throughput_per_sec".into(),
-            Json::Num(m.throughput_per_sec()),
-        ),
+pub fn measurement_json(m: &Measurement) -> Value {
+    Value::obj(vec![
+        ("name", Value::Str(m.name.clone())),
+        ("samples", Value::Num(m.samples as f64)),
+        ("batch", Value::Num(m.batch as f64)),
+        ("median_ns", Value::Num(m.median_ns)),
+        ("p95_ns", Value::Num(m.p95_ns)),
+        ("min_ns", Value::Num(m.min_ns)),
+        ("mean_ns", Value::Num(m.mean_ns)),
+        ("throughput_per_sec", Value::Num(m.throughput_per_sec())),
     ])
 }
 
@@ -338,46 +207,5 @@ mod tests {
             .clone();
         assert!(m.batch > 1, "ns-scale work must be batched");
         assert!(m.min_ns <= m.median_ns && m.median_ns <= m.p95_ns);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 4.0);
-        assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_renders_and_escapes() {
-        let j = Json::Obj(vec![
-            ("a".into(), Json::Num(1.5)),
-            ("b".into(), Json::Str("x\"y\n".into())),
-            ("c".into(), Json::Arr(vec![Json::Int(1), Json::Bool(false)])),
-            ("d".into(), Json::Num(f64::NAN)),
-        ]);
-        let s = j.render();
-        assert!(s.contains("\"a\": 1.5"));
-        assert!(s.contains("\\\"y\\n"));
-        assert!(s.contains("\"d\": null"));
-        assert!(s.contains("[\n"));
-    }
-
-    #[test]
-    fn peak_rss_is_plausible_on_linux() {
-        // The kernel reports KiB; anything under a page or over a
-        // terabyte would mean the parse walked off the field.
-        if let Some(rss) = peak_rss_bytes() {
-            assert!(rss >= 4096, "rss = {rss}");
-            assert!(rss < 1 << 40, "rss = {rss}");
-            assert_eq!(rss % 1024, 0, "VmHWM is KiB-granular");
-        }
-    }
-
-    #[test]
-    fn fmt_ns_picks_units() {
-        assert_eq!(fmt_ns(12.0), "12.0 ns");
-        assert_eq!(fmt_ns(12_340.0), "12.34 µs");
-        assert_eq!(fmt_ns(12_340_000.0), "12.34 ms");
     }
 }

@@ -11,8 +11,8 @@
 use crate::error::ChaosError;
 use crate::plan::CampaignConfig;
 use hems_core::cachekey::KeyHasher;
+use hems_obs::json::Value;
 use hems_obs::Registry;
-use hems_serve::json::Value;
 use hems_sim::WorkerPool;
 use std::thread;
 use std::time::Duration;

@@ -21,8 +21,8 @@
 use crate::error::ChaosError;
 use crate::plan::CampaignConfig;
 use hems_fleet::{AnalyticPlans, Fleet, FleetConfig};
+use hems_obs::json::Value;
 use hems_obs::Registry;
-use hems_serve::json::Value;
 
 /// Outcome of the fleet campaign.
 #[derive(Debug)]

@@ -31,9 +31,9 @@
 
 use crate::error::ChaosError;
 use crate::plan::CampaignConfig;
+use hems_obs::json::Value;
 use hems_obs::Registry;
 use hems_serve::client::{Client, RetryPolicy};
-use hems_serve::json::Value;
 use hems_serve::proto::{QueryKind, Request, ScenarioSpec};
 use hems_serve::server::{serve, ServeConfig};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -359,14 +359,14 @@ fn attack_wave(
         let mut reader = BufReader::new(s.try_clone()?);
         let mut response = String::new();
         reader.read_line(&mut response)?;
-        let errored = hems_serve::json::parse(&response)
+        let errored = hems_obs::json::parse(&response)
             .ok()
             .and_then(|v| v.get("status").and_then(Value::as_str).map(str::to_string))
             == Some("error".to_string());
         s.write_all(b"{\"id\":3,\"query\":\"stats\"}\n")?;
         let mut second = String::new();
         reader.read_line(&mut second)?;
-        let answered = hems_serve::json::parse(&second)
+        let answered = hems_obs::json::parse(&second)
             .ok()
             .and_then(|v| v.get("status").and_then(Value::as_str).map(str::to_string))
             == Some("ok".to_string());

@@ -21,9 +21,9 @@ use hems_core::cachekey::KeyHasher;
 use hems_intermittent::{
     CheckpointPolicy, CommitEvent, IntermittentRuntime, NvmModel, Task, TaskChain,
 };
+use hems_obs::json::Value;
 use hems_obs::Registry;
 use hems_pv::Irradiance;
-use hems_serve::json::Value;
 use hems_sim::{FixedVoltageController, LightProfile, Simulation, SystemConfig};
 use hems_units::{Cycles, Seconds, Volts};
 

@@ -26,9 +26,9 @@
 use crate::error::ChaosError;
 use crate::net::{ChaosProxy, ConnFault};
 use crate::plan::CampaignConfig;
+use hems_obs::json::Value;
 use hems_obs::Registry;
 use hems_router::{route, HealthPolicy, RouterConfig, RouterHandle};
-use hems_serve::json::Value;
 use hems_serve::{
     serve, Client, ClientError, QueryKind, RetryPolicy, ScenarioSpec, ServeConfig, ServerHandle,
 };

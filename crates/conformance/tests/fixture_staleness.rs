@@ -4,7 +4,7 @@
 //! bit-for-bit and its reports are actionable.
 
 use hems_conformance::fixtures::{self, ulp_distance};
-use hems_serve::{json, Value};
+use hems_obs::json::{self, Value};
 
 /// Bumps the first non-integer finite number in the tree by one ulp.
 /// Returns the JSON path it perturbed.

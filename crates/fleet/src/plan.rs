@@ -19,10 +19,10 @@
 //! the determinism integration test holds them to that.
 
 use crate::error::FleetError;
+use hems_obs::json::Value;
 use hems_serve::client::{Client, ClientError, RetryPolicy};
 use hems_serve::planner::{self, PlanJob};
 use hems_serve::proto::{QueryKind, ScenarioSpec};
-use hems_serve::Value;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 

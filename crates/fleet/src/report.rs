@@ -2,7 +2,7 @@
 //!
 //! Same contract as the chaos crate's reports: every line is a
 //! [`Value`] that must survive a render → parse → render round trip
-//! through the serve stack's own JSON codec, and the whole rendered text
+//! through the wire protocol's JSON codec (`hems_obs::json`), and the whole rendered text
 //! is byte-identical for the same `(seed, config)` — including the
 //! summary's embedded `hems_obs` snapshot (its manual clock is pinned to
 //! simulated time, never the host's). Anything wall-clock-dependent
@@ -10,8 +10,7 @@
 //! to `BENCH_fleet.json`.
 
 use crate::error::FleetError;
-use hems_serve::json::parse;
-use hems_serve::Value;
+use hems_obs::json::{parse, Value};
 
 /// What a fleet campaign produced.
 #[derive(Debug, Clone)]
@@ -45,7 +44,7 @@ impl FleetReport {
     }
 
     /// Renders every line plus the summary as newline-delimited JSON,
-    /// round-tripping each through the serve parser.
+    /// round-tripping each through the JSON parser.
     ///
     /// # Errors
     ///

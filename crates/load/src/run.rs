@@ -19,15 +19,17 @@
 //! ## Digest
 //!
 //! Each worker folds an order-independent digest over its raw response
-//! lines (wrapping sum of per-line FNV-1a hashes). Two runs that
+//! lines (wrapping sum of per-line FNV-1a hashes through
+//! `hems_core::cachekey::KeyHasher`). Two runs that
 //! produced the same response *multiset* — e.g. the same stream sent
 //! directly and through a router that relays verbatim — have equal
 //! digests regardless of connection interleaving.
 
 use crate::workload::Arrival;
-use hems_bench::harness::percentile;
+use hems_core::cachekey::KeyHasher;
 use hems_obs::clock::monotonic_ns;
-use hems_serve::json::{self, Value};
+use hems_obs::json::{self, Value};
+use hems_obs::percentile;
 use hems_serve::wire::{read_line_bounded, send_line};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
@@ -126,16 +128,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-/// FNV-1a over a line's bytes (the digest primitive).
-pub fn fnv_line(line: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in line.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// What one worker thread brings home.
 #[derive(Debug, Default)]
 struct WorkerReport {
@@ -200,15 +192,11 @@ pub fn run(config: &RunConfig, arrivals: &[Arrival]) -> io::Result<RunReport> {
     total
         .latencies_ns
         .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let (p50, p95, p99) = if total.latencies_ns.is_empty() {
-        (0.0, 0.0, 0.0)
-    } else {
-        (
-            percentile(&total.latencies_ns, 50.0),
-            percentile(&total.latencies_ns, 95.0),
-            percentile(&total.latencies_ns, 99.0),
-        )
-    };
+    let (p50, p95, p99) = (
+        percentile(&total.latencies_ns, 50.0),
+        percentile(&total.latencies_ns, 95.0),
+        percentile(&total.latencies_ns, 99.0),
+    );
     Ok(RunReport {
         sent: total.sent,
         ok: total.ok,
@@ -262,7 +250,9 @@ fn worker(
                 let now = monotonic_ns();
                 report.end_ns = now;
                 report.latencies_ns.push(now.saturating_sub(sent_at) as f64);
-                report.digest = report.digest.wrapping_add(fnv_line(&response));
+                let mut line_hash = KeyHasher::new();
+                line_hash.write_bytes(response.as_bytes());
+                report.digest = report.digest.wrapping_add(line_hash.finish());
                 tally(&mut report, &response);
             }
             Err(_) => {
@@ -352,10 +342,15 @@ mod tests {
 
     #[test]
     fn digest_is_order_independent() {
-        let a = fnv_line("alpha").wrapping_add(fnv_line("beta"));
-        let b = fnv_line("beta").wrapping_add(fnv_line("alpha"));
+        let hash = |line: &str| {
+            let mut h = KeyHasher::new();
+            h.write_bytes(line.as_bytes());
+            h.finish()
+        };
+        let a = hash("alpha").wrapping_add(hash("beta"));
+        let b = hash("beta").wrapping_add(hash("alpha"));
         assert_eq!(a, b);
-        assert_ne!(fnv_line("alpha"), fnv_line("beta"));
+        assert_ne!(hash("alpha"), hash("beta"));
     }
 
     #[test]

@@ -21,10 +21,14 @@
 //! - **Spans** — [`span!`] returns a guard whose drop records elapsed
 //!   nanoseconds into a histogram; durations come from the registry's
 //!   [`Clock`], so tests measure exact, deterministic spans.
-//! - **Export** — [`Snapshot::render`] emits compact, integer-only,
-//!   sorted-key JSON that round-trips byte-for-byte through
-//!   `hems_serve::json`; [`Snapshot::diff`] turns two snapshots into
-//!   interval deltas for rate computation.
+//! - **Export** — [`Snapshot::to_value`] builds the snapshot as a
+//!   [`json::Value`] (integer-only, sorted keys) and
+//!   [`Snapshot::from_value`] reads it back; [`Snapshot::render`] is its
+//!   compact text. [`Snapshot::diff`] turns two snapshots into interval
+//!   deltas for rate computation.
+//! - **JSON** — [`json`] is the workspace's one JSON codec (parser,
+//!   compact and pretty encoders), shared by the wire protocol, the
+//!   reports and the lint gate's machine-readable output.
 //! - **Kill switch** — [`set_enabled(false)`](set_enabled) reduces
 //!   every record call to one relaxed load + branch; the
 //!   `BENCH_obs.json` bench quantifies instrumented-vs-off overhead.
@@ -33,13 +37,16 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod snapshot;
 pub mod span;
+pub mod stats;
 
 pub use clock::{monotonic_ns, Clock, ManualClock, MonotonicClock};
 pub use metrics::{enabled, set_enabled, Counter, Gauge, Histogram};
 pub use registry::{global, Registry};
 pub use snapshot::{Bucket, HistogramSnapshot, Series, SeriesData, Snapshot};
 pub use span::SpanGuard;
+pub use stats::{fmt_ns, peak_rss_bytes, percentile};

@@ -1,10 +1,12 @@
 //! Immutable snapshots of a registry: merged series, quantile
 //! estimation, interval diffing, and JSON export.
 //!
-//! The JSON renderer emits only integers, sorted keys, and escaped
-//! strings, so a snapshot round-trips byte-for-byte through
-//! `hems_serve::json` (`parse(render()).render() == render()`), which
-//! is what the `metrics` query verb and the chaos report rely on.
+//! [`Snapshot::to_value`] is the one snapshot format: integers only,
+//! sorted keys. The `metrics` query verb, the chaos and fleet reports
+//! embed it as a [`Value`], and [`Snapshot::from_value`] reads it back
+//! (the router's merged `metrics` view of its shards).
+
+use crate::json::Value;
 
 /// One histogram bucket: samples in `(lo, hi]` (the first bucket
 /// starts at 0 inclusive).
@@ -215,7 +217,7 @@ impl Snapshot {
         }
     }
 
-    /// Renders the snapshot as one compact JSON object:
+    /// The snapshot as one JSON object:
     ///
     /// ```json
     /// {"at_ns":12,"series":{"name":{"kind":"counter","value":3},...}}
@@ -223,106 +225,100 @@ impl Snapshot {
     ///
     /// Histograms carry `count`/`sum`/`min`/`max`, rounded `p50`/`p95`
     /// estimates, and their non-empty `[lo,hi,n]` buckets. All values
-    /// are integers, so the text survives an f64-based JSON parser
-    /// unchanged (exact below 2^53).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"at_ns\":");
-        out.push_str(&self.at_ns.to_string());
-        out.push_str(",\"series\":{");
-        for (i, series) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, &series.name);
-            out.push(':');
-            render_series(&mut out, &series.data);
-        }
-        out.push_str("}}");
-        out
+    /// are integers, exact below 2^53.
+    pub fn to_value(&self) -> Value {
+        let series = self
+            .series
+            .iter()
+            .map(|s| (s.name.clone(), series_value(&s.data)))
+            .collect();
+        Value::obj(vec![
+            ("at_ns", Value::Num(self.at_ns as f64)),
+            ("series", Value::Obj(series)),
+        ])
     }
 
-    /// JSON-lines export: one self-describing object per series, each
-    /// line independently parseable.
-    pub fn render_lines(&self) -> String {
-        let mut out = String::new();
-        for series in &self.series {
-            out.push_str("{\"at_ns\":");
-            out.push_str(&self.at_ns.to_string());
-            out.push_str(",\"name\":");
-            push_json_str(&mut out, &series.name);
-            out.push_str(",\"data\":");
-            render_series(&mut out, &series.data);
-            out.push_str("}\n");
-        }
-        out
+    /// Reads a snapshot back from [`Snapshot::to_value`]'s format.
+    /// Series whose shape is unrecognized are skipped; `None` when the
+    /// envelope itself (`at_ns`, `series`) is missing.
+    pub fn from_value(value: &Value) -> Option<Snapshot> {
+        let at_ns = value.get("at_ns")?.as_f64()? as u64;
+        let Some(Value::Obj(fields)) = value.get("series") else {
+            return None;
+        };
+        let mut series: Vec<Series> = fields
+            .iter()
+            .filter_map(|(name, body)| {
+                Some(Series {
+                    name: name.clone(),
+                    data: series_from_value(body)?,
+                })
+            })
+            .collect();
+        series.sort_by(|a, b| a.name.cmp(&b.name));
+        Some(Snapshot { at_ns, series })
+    }
+
+    /// [`Snapshot::to_value`] as compact single-line JSON.
+    pub fn render(&self) -> String {
+        self.to_value().render()
     }
 }
 
-fn render_series(out: &mut String, data: &SeriesData) {
+fn series_value(data: &SeriesData) -> Value {
+    let kind = |name: &str| ("kind", Value::str(name));
     match data {
         SeriesData::Counter(n) => {
-            out.push_str("{\"kind\":\"counter\",\"value\":");
-            out.push_str(&n.to_string());
-            out.push('}');
+            Value::obj(vec![kind("counter"), ("value", Value::Num(*n as f64))])
         }
-        SeriesData::Gauge(v) => {
-            out.push_str("{\"kind\":\"gauge\",\"value\":");
-            out.push_str(&v.to_string());
-            out.push('}');
-        }
+        SeriesData::Gauge(v) => Value::obj(vec![kind("gauge"), ("value", Value::Num(*v as f64))]),
         SeriesData::Histogram(h) => {
-            out.push_str("{\"kind\":\"histogram\",\"count\":");
-            out.push_str(&h.count.to_string());
-            out.push_str(",\"sum\":");
-            out.push_str(&h.sum.to_string());
-            out.push_str(",\"min\":");
-            out.push_str(&h.min.to_string());
-            out.push_str(",\"max\":");
-            out.push_str(&h.max.to_string());
-            out.push_str(",\"p50\":");
-            out.push_str(&(h.quantile(0.50).round() as u64).to_string());
-            out.push_str(",\"p95\":");
-            out.push_str(&(h.quantile(0.95).round() as u64).to_string());
-            out.push_str(",\"buckets\":[");
-            for (i, bucket) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('[');
-                out.push_str(&bucket.lo.to_string());
-                out.push(',');
-                out.push_str(&bucket.hi.to_string());
-                out.push(',');
-                out.push_str(&bucket.n.to_string());
-                out.push(']');
-            }
-            out.push_str("]}");
+            let int = |x: u64| Value::Num(x as f64);
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|b| Value::Arr(vec![int(b.lo), int(b.hi), int(b.n)]))
+                .collect();
+            Value::obj(vec![
+                kind("histogram"),
+                ("count", int(h.count)),
+                ("sum", int(h.sum)),
+                ("min", int(h.min)),
+                ("max", int(h.max)),
+                ("p50", int(h.quantile(0.50).round() as u64)),
+                ("p95", int(h.quantile(0.95).round() as u64)),
+                ("buckets", Value::Arr(buckets)),
+            ])
         }
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str("\\u00");
-                let hi = (c as u32) >> 4;
-                let lo = (c as u32) & 0xf;
-                out.push(char::from_digit(hi, 16).unwrap_or('0'));
-                out.push(char::from_digit(lo, 16).unwrap_or('0'));
+fn series_from_value(body: &Value) -> Option<SeriesData> {
+    match body.get("kind")?.as_str()? {
+        "counter" => Some(SeriesData::Counter(body.get("value")?.as_f64()? as u64)),
+        "gauge" => Some(SeriesData::Gauge(body.get("value")?.as_f64()? as i64)),
+        "histogram" => {
+            let field = |name: &str| body.get(name).and_then(Value::as_f64);
+            let mut buckets = Vec::new();
+            for entry in body.get("buckets")?.as_arr()? {
+                let edges = entry.as_arr()?;
+                let at = |i: usize| edges.get(i).and_then(Value::as_f64);
+                buckets.push(Bucket {
+                    lo: at(0)? as u64,
+                    hi: at(1)? as u64,
+                    n: at(2)? as u64,
+                });
             }
-            c => out.push(c),
+            Some(SeriesData::Histogram(HistogramSnapshot {
+                count: field("count")? as u64,
+                sum: field("sum")? as u64,
+                min: field("min")? as u64,
+                max: field("max")? as u64,
+                buckets,
+            }))
         }
+        _ => None,
     }
-    out.push('"');
 }
 
 #[cfg(test)]
@@ -464,18 +460,47 @@ mod tests {
         assert!(text.contains("\"g\":{\"kind\":\"gauge\",\"value\":-1}"));
         assert!(text.contains("\"kind\":\"histogram\",\"count\":2,\"sum\":6"));
         assert!(!text.contains('.'), "integers only: {text}");
-        let lines = snap.render_lines();
-        assert_eq!(lines.lines().count(), 3);
-        for line in lines.lines() {
-            assert!(line.starts_with("{\"at_ns\":5,\"name\":"));
-        }
+    }
+
+    #[test]
+    fn from_value_inverts_to_value() {
+        let snap = Snapshot {
+            at_ns: 1_234_567,
+            series: vec![
+                Series {
+                    name: "a.count".into(),
+                    data: SeriesData::Counter(42),
+                },
+                Series {
+                    name: "b.level".into(),
+                    data: SeriesData::Gauge(-17),
+                },
+                Series {
+                    name: "c.latency_ns".into(),
+                    data: SeriesData::Histogram(sample_hist(&[3, 90, 90, 5_000, 1_000_000])),
+                },
+            ],
+        };
+        assert_eq!(Snapshot::from_value(&snap.to_value()), Some(snap.clone()));
+        let reparsed = crate::json::parse(&snap.render()).expect("render is JSON");
+        assert_eq!(Snapshot::from_value(&reparsed), Some(snap));
+        assert_eq!(Snapshot::from_value(&Value::Null), None);
     }
 
     #[test]
     fn json_strings_are_escaped() {
-        let mut out = String::new();
-        push_json_str(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        let snap = Snapshot {
+            at_ns: 0,
+            series: vec![Series {
+                name: "a\"b\\c\nd\u{1}".into(),
+                data: SeriesData::Counter(1),
+            }],
+        };
+        assert!(
+            snap.render().contains("\"a\\\"b\\\\c\\nd\\u0001\":"),
+            "{}",
+            snap.render()
+        );
     }
 
     #[test]

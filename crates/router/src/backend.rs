@@ -96,7 +96,7 @@ impl Backend {
                 "{\"id\":\"hems-router-handshake\",\"query\":\"stats\"}",
                 dial.max_line_bytes,
             )?;
-            let parsed = hems_serve::json::parse(&response)
+            let parsed = hems_obs::json::parse(&response)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             let shard = parsed
                 .get("result")

@@ -38,8 +38,9 @@ use crate::ring::HashRing;
 use crate::stats::RouterStats;
 use crate::sync::relock;
 use hems_obs::clock::monotonic_ns;
-use hems_obs::snapshot::{Bucket, HistogramSnapshot, Series, SeriesData, Snapshot};
-use hems_serve::json::{self, Value};
+use hems_obs::json::{self, Value};
+use hems_obs::snapshot::Snapshot;
+use hems_serve::client::backoff;
 use hems_serve::proto::{
     error_response, ok_response, overloaded_response, retryable_error_response, QueryKind, Request,
     ScenarioSpec,
@@ -117,15 +118,6 @@ impl RouterConfig {
             max_line_bytes: self.max_line_bytes,
             expect_shard: self.verify_shard_ids.then_some(shard as u64),
         }
-    }
-
-    /// The backoff before attempt `attempt` (1-based), without jitter.
-    fn backoff(&self, attempt: u32) -> Duration {
-        let doublings = attempt.saturating_sub(2).min(20);
-        let raw = self
-            .base_delay
-            .saturating_mul(1u32.checked_shl(doublings).unwrap_or(u32::MAX));
-        raw.min(self.max_delay)
     }
 }
 
@@ -233,62 +225,12 @@ impl Shared {
             let Ok(parsed) = json::parse(&response) else {
                 continue;
             };
-            let Some(snapshot) = parsed.get("result").and_then(snapshot_from_value) else {
+            let Some(snapshot) = parsed.get("result").and_then(Snapshot::from_value) else {
                 continue;
             };
             merged = merged.merged(snapshot.with_prefix(&format!("shard{i}")));
         }
         merged
-    }
-}
-
-/// Rebuilds an obs [`Snapshot`] from the `metrics` verb's JSON render.
-/// The render is integer-only by contract, so `f64` round trips are
-/// exact; series whose shape is unrecognized are skipped.
-fn snapshot_from_value(value: &Value) -> Option<Snapshot> {
-    let at_ns = value.get("at_ns")?.as_f64()? as u64;
-    let Some(Value::Obj(fields)) = value.get("series") else {
-        return None;
-    };
-    let mut series: Vec<Series> = Vec::with_capacity(fields.len());
-    for (name, body) in fields {
-        let Some(data) = series_from_value(body) else {
-            continue;
-        };
-        series.push(Series {
-            name: name.clone(),
-            data,
-        });
-    }
-    series.sort_by(|a, b| a.name.cmp(&b.name));
-    Some(Snapshot { at_ns, series })
-}
-
-fn series_from_value(body: &Value) -> Option<SeriesData> {
-    match body.get("kind")?.as_str()? {
-        "counter" => Some(SeriesData::Counter(body.get("value")?.as_f64()? as u64)),
-        "gauge" => Some(SeriesData::Gauge(body.get("value")?.as_f64()? as i64)),
-        "histogram" => {
-            let field = |name: &str| body.get(name).and_then(Value::as_f64);
-            let mut buckets = Vec::new();
-            for entry in body.get("buckets")?.as_arr()? {
-                let edges = entry.as_arr()?;
-                let at = |i: usize| edges.get(i).and_then(Value::as_f64);
-                buckets.push(Bucket {
-                    lo: at(0)? as u64,
-                    hi: at(1)? as u64,
-                    n: at(2)? as u64,
-                });
-            }
-            Some(SeriesData::Histogram(HistogramSnapshot {
-                count: field("count")? as u64,
-                sum: field("sum")? as u64,
-                min: field("min")? as u64,
-                max: field("max")? as u64,
-                buckets,
-            }))
-        }
-        _ => None,
     }
 }
 
@@ -601,16 +543,11 @@ fn dispatch(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> Dispatch
         .unwrap_or("");
     match verb {
         "stats" => Dispatch::Reply(ok_response(&id, false, shared.stats_value())),
-        "metrics" => {
-            let rendered = shared.metrics_snapshot().render();
-            match json::parse(&rendered) {
-                Ok(value) => Dispatch::Reply(ok_response(&id, false, value)),
-                Err(e) => {
-                    shared.stats.errors.inc();
-                    Dispatch::Reply(error_response(&id, &e.to_string()))
-                }
-            }
-        }
+        "metrics" => Dispatch::Reply(ok_response(
+            &id,
+            false,
+            shared.metrics_snapshot().to_value(),
+        )),
         "shutdown" => Dispatch::Shutdown(ok_response(
             &id,
             false,
@@ -690,8 +627,8 @@ fn forward_plan(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> Stri
     for attempt in 1..=shared.config.max_attempts.max(1) {
         if attempt > 1 {
             shared.stats.retries.inc();
-            let jitter = 0.5 + 0.5 * rng.next_f64();
-            thread::sleep(shared.config.backoff(attempt).mul_f64(jitter));
+            let (base, max) = (shared.config.base_delay, shared.config.max_delay);
+            thread::sleep(backoff(attempt, base, max, rng));
         }
         let Some(shard) = shared.ring.route(key, |s| shared.available(s)) else {
             continue;

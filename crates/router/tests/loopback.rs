@@ -4,10 +4,11 @@
 //! per-shard metrics aggregation.
 
 use hems_fleet::plan::{AnalyticPlans, PlanSource, ServePlans};
+use hems_obs::json::Value;
 use hems_router::server::plan_key;
 use hems_router::{route, HealthPolicy, RouterConfig, RouterHandle};
 use hems_serve::wire::{read_line_bounded, send_line};
-use hems_serve::{serve, QueryKind, Request, ScenarioSpec, ServeConfig, ServerHandle, Value};
+use hems_serve::{serve, QueryKind, Request, ScenarioSpec, ServeConfig, ServerHandle};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -113,7 +114,7 @@ fn key_affinity_pins_keys_to_their_home_shard() {
             let line =
                 Request::render_line((pass * 100 + i) as i64, QueryKind::OptimalPoint, Some(spec));
             let response = client.exchange(&line);
-            let parsed = hems_serve::json::parse(&response).expect("response json");
+            let parsed = hems_obs::json::parse(&response).expect("response json");
             assert_eq!(
                 parsed.get("status").and_then(Value::as_str),
                 Some("ok"),
@@ -278,7 +279,7 @@ fn metrics_aggregates_per_shard_snapshots_with_prefixes() {
     );
     // The wire verb returns the same aggregation as a structured result.
     let response = client.exchange("{\"id\":7,\"query\":\"metrics\"}");
-    let parsed = hems_serve::json::parse(&response).expect("metrics json");
+    let parsed = hems_obs::json::parse(&response).expect("metrics json");
     assert!(parsed.get("result").and_then(|r| r.get("series")).is_some());
 }
 

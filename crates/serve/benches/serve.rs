@@ -21,8 +21,8 @@
 //! silently. Smoke mode (`HEMS_BENCH_SMOKE=1`) shrinks the scenario set
 //! and skips the warm<cold assertion (one sample proves nothing).
 
-use hems_bench::harness::{percentile, Json};
 use hems_obs::clock::monotonic_ns;
+use hems_obs::percentile;
 use hems_serve::json::{parse, Value};
 use hems_serve::proto::{QueryKind, Request, ScenarioSpec};
 use hems_serve::{serve, ServeConfig};
@@ -119,16 +119,16 @@ fn run_pass(
     (latencies, cached)
 }
 
-fn pass_json(sorted_ns: &[f64]) -> (f64, Json) {
+fn pass_json(sorted_ns: &[f64]) -> (f64, Value) {
     let p50 = percentile(sorted_ns, 50.0);
     let p95 = percentile(sorted_ns, 95.0);
     let mean = sorted_ns.iter().sum::<f64>() / sorted_ns.len() as f64;
-    let json = Json::Obj(vec![
-        ("requests".into(), Json::Int(sorted_ns.len() as i64)),
-        ("p50_ns".into(), Json::Num(p50)),
-        ("p95_ns".into(), Json::Num(p95)),
-        ("mean_ns".into(), Json::Num(mean)),
-        ("throughput_per_sec".into(), Json::Num(1e9 / mean)),
+    let json = Value::obj(vec![
+        ("requests", Value::Num(sorted_ns.len() as f64)),
+        ("p50_ns", Value::Num(p50)),
+        ("p95_ns", Value::Num(p95)),
+        ("mean_ns", Value::Num(mean)),
+        ("throughput_per_sec", Value::Num(1e9 / mean)),
     ]);
     (p95, json)
 }
@@ -195,45 +195,41 @@ fn main() {
 
     // --- Service counters for the report. ---
     let stats = handle.stats_snapshot();
-    let counter =
-        |name: &str| Json::Int(stats.get(name).and_then(Value::as_f64).unwrap_or(0.0) as i64);
+    let counter = |name: &str| Value::Num(stats.get(name).and_then(Value::as_f64).unwrap_or(0.0));
     handle.shutdown();
 
-    let report = Json::Obj(vec![
-        ("schema".into(), Json::Str("hems-bench-serve/1".into())),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("distinct_requests".into(), Json::Int(requests.len() as i64)),
-        ("warm_rounds".into(), Json::Int(warm_rounds as i64)),
-        ("cold".into(), cold_json),
-        ("warm".into(), warm_json),
+    let report = Value::obj(vec![
+        ("schema", Value::str("hems-bench-serve/1")),
+        ("smoke", Value::Bool(smoke)),
+        ("distinct_requests", Value::Num(requests.len() as f64)),
+        ("warm_rounds", Value::Num(warm_rounds as f64)),
+        ("cold", cold_json),
+        ("warm", warm_json),
+        ("warm_speedup_p95", Value::Num(cold_p95 / warm_p95.max(1.0))),
         (
-            "warm_speedup_p95".into(),
-            Json::Num(cold_p95 / warm_p95.max(1.0)),
-        ),
-        (
-            "concurrent".into(),
-            Json::Obj(vec![
-                ("clients".into(), Json::Int(clients as i64)),
-                ("requests".into(), Json::Int(concurrent_requests as i64)),
-                ("elapsed_s".into(), Json::Num(concurrent_secs)),
-                ("throughput_per_sec".into(), Json::Num(concurrent_rps)),
+            "concurrent",
+            Value::obj(vec![
+                ("clients", Value::Num(clients as f64)),
+                ("requests", Value::Num(concurrent_requests as f64)),
+                ("elapsed_s", Value::Num(concurrent_secs)),
+                ("throughput_per_sec", Value::Num(concurrent_rps)),
             ]),
         ),
         (
-            "server".into(),
-            Json::Obj(vec![
-                ("requests".into(), counter("requests")),
-                ("hits".into(), counter("hits")),
-                ("misses".into(), counter("misses")),
-                ("batches".into(), counter("batches")),
-                ("batched_jobs".into(), counter("batched_jobs")),
-                ("max_batch".into(), counter("max_batch")),
-                ("workers".into(), counter("workers")),
+            "server",
+            Value::obj(vec![
+                ("requests", counter("requests")),
+                ("hits", counter("hits")),
+                ("misses", counter("misses")),
+                ("batches", counter("batches")),
+                ("batched_jobs", counter("batched_jobs")),
+                ("max_batch", counter("max_batch")),
+                ("workers", counter("workers")),
             ]),
         ),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, report.render() + "\n").expect("write BENCH_serve.json");
+    std::fs::write(path, report.render_pretty() + "\n").expect("write BENCH_serve.json");
 
     // Self-validation: the file on disk must be well-formed JSON with the
     // headline fields present (the verify script relies on this).

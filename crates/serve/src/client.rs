@@ -14,11 +14,11 @@
 //! `retryable` (a worker fault, not a verdict). A plain `error` is
 //! terminal — the request itself is unanswerable and retrying cannot help.
 //!
-//! Backoff between attempts doubles from [`RetryPolicy::base_delay`] up to
-//! [`RetryPolicy::max_delay`], scaled by a deterministic jitter factor in
-//! `[0.5, 1.0]` drawn from the seeded xorshift RNG — the same seed always
-//! produces the same retry schedule, which keeps chaos campaigns
-//! reproducible.
+//! Backoff between attempts ([`backoff`]) doubles from
+//! [`RetryPolicy::base_delay`] up to [`RetryPolicy::max_delay`], scaled by
+//! a deterministic jitter factor in `[0.5, 1.0]` drawn from the seeded
+//! xorshift RNG — the same seed always produces the same retry schedule,
+//! which keeps chaos campaigns reproducible.
 
 use crate::json::{parse, Value};
 use crate::proto::{QueryKind, Request, ScenarioSpec};
@@ -55,17 +55,15 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// The backoff before attempt `attempt + 1` (zero-based `attempt`
-    /// counts completed tries), without jitter: `base * 2^(attempt-1)`
-    /// capped at `max_delay`.
-    fn backoff(&self, attempt: u32) -> Duration {
-        let doublings = attempt.saturating_sub(1).min(20);
-        let raw = self
-            .base_delay
-            .saturating_mul(1u32.checked_shl(doublings).unwrap_or(u32::MAX));
-        raw.min(self.max_delay)
-    }
+/// The jittered backoff before attempt `attempt` (1-based, so the first
+/// retry is attempt 2): `base · 2^(attempt−2)` capped at `max`, scaled
+/// by a jitter factor `0.5 + 0.5·u` with `u` drawn from `rng`. The one
+/// retry schedule of the serving tier: [`Client`] and the router's
+/// forward loop both sleep for it.
+pub fn backoff(attempt: u32, base: Duration, max: Duration, rng: &mut XorShiftRng) -> Duration {
+    let doublings = attempt.saturating_sub(2).min(20);
+    let raw = base.saturating_mul(1u32.checked_shl(doublings).unwrap_or(u32::MAX));
+    raw.min(max).mul_f64(0.5 + 0.5 * rng.next_f64())
 }
 
 /// A terminal client-side failure (retries exhausted or pointless).
@@ -166,8 +164,8 @@ impl Client {
         for attempt in 1..=self.policy.max_attempts.max(1) {
             if attempt > 1 {
                 self.retries += 1;
-                let jitter = 0.5 + 0.5 * self.rng.next_f64();
-                thread::sleep(self.policy.backoff(attempt).mul_f64(jitter));
+                let (base, max) = (self.policy.base_delay, self.policy.max_delay);
+                thread::sleep(backoff(attempt, base, max, &mut self.rng));
             }
             match self.attempt(&line, &id) {
                 Ok(Outcome::Answered(answer)) => {
@@ -204,8 +202,8 @@ impl Client {
         for attempt in 1..=self.policy.max_attempts.max(1) {
             if attempt > 1 {
                 self.retries += 1;
-                let jitter = 0.5 + 0.5 * self.rng.next_f64();
-                thread::sleep(self.policy.backoff(attempt).mul_f64(jitter));
+                let (base, max) = (self.policy.base_delay, self.policy.max_delay);
+                thread::sleep(backoff(attempt, base, max, &mut self.rng));
             }
             match self.attempt(&line, &id) {
                 Ok(Outcome::Answered(answer)) => return Ok(answer.result),
@@ -335,16 +333,28 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let policy = RetryPolicy {
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(70),
-            ..RetryPolicy::default()
+        // The capped-doubling raw delay, scaled by the seed's first draw.
+        let ms = Duration::from_millis;
+        let within = |attempt: u32, base: Duration, max: Duration, raw: Duration| {
+            let mut rng = XorShiftRng::seed_from_u64(u64::from(attempt));
+            let delay = backoff(attempt, base, max, &mut rng);
+            let mut draw = XorShiftRng::seed_from_u64(u64::from(attempt));
+            assert_eq!(
+                delay,
+                raw.mul_f64(0.5 + 0.5 * draw.next_f64()),
+                "attempt {attempt}"
+            );
         };
-        assert_eq!(policy.backoff(1), Duration::from_millis(10));
-        assert_eq!(policy.backoff(2), Duration::from_millis(20));
-        assert_eq!(policy.backoff(3), Duration::from_millis(40));
-        assert_eq!(policy.backoff(4), Duration::from_millis(70), "capped");
-        assert_eq!(policy.backoff(30), Duration::from_millis(70), "no overflow");
+        // Client policy shape: base 10 ms, cap 70 ms.
+        within(2, ms(10), ms(70), ms(10));
+        within(3, ms(10), ms(70), ms(20));
+        within(4, ms(10), ms(70), ms(40));
+        within(5, ms(10), ms(70), ms(70));
+        within(30, ms(10), ms(70), ms(70));
+        // The router's default schedule (RouterConfig: 5 ms, cap 200 ms).
+        within(2, ms(5), ms(200), ms(5));
+        within(3, ms(5), ms(200), ms(10));
+        within(4, ms(5), ms(200), ms(20));
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //! server's `serve.*` series — see `DESIGN.md` §12); `shutdown` drains
 //! in-flight batches before stopping.
 //!
-//! Everything is `std`-only — the wire format lives in [`json`] (a small
-//! recursive-descent parser and compact encoder), the protocol in
-//! [`proto`], query execution in [`planner`].
+//! Everything is `std`-only — the wire format is [`json`] (the
+//! workspace's one codec, re-exported from `hems_obs::json`), the
+//! protocol lives in [`proto`], query execution in [`planner`].
 //!
 //! ## Quick start
 //!
@@ -45,13 +45,14 @@
 
 pub mod cache;
 pub mod client;
-pub mod json;
 pub mod planner;
 pub mod proto;
 pub mod server;
 pub mod stats;
 mod sync;
 pub mod wire;
+
+pub use hems_obs::json;
 
 pub use cache::PlanCache;
 pub use client::{Client, ClientError, PlanAnswer, RetryPolicy};

@@ -379,23 +379,12 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
             QueryKind::Metrics => {
                 // Merge the process-global registry (sweep, pool, LUT
-                // series) with this server's own (serve.*, cache), then
-                // round-trip the rendered snapshot through this crate's
-                // parser so the response is a structured result object,
-                // not an opaque string.
+                // series) with this server's own (serve.*, cache).
                 let merged = hems_obs::global()
                     .snapshot()
                     .merged(shared.stats.registry().snapshot());
-                match crate::json::parse(&merged.render()) {
-                    Ok(value) => {
-                        write_line(&writer, &ok_response(&request.id, false, value));
-                        shared.stats.record_latency_ns(elapsed_ns(started));
-                    }
-                    Err(e) => {
-                        shared.stats.errors.inc();
-                        write_line(&writer, &error_response(&request.id, &e.to_string()));
-                    }
-                }
+                write_line(&writer, &ok_response(&request.id, false, merged.to_value()));
+                shared.stats.record_latency_ns(elapsed_ns(started));
             }
             QueryKind::Shutdown => {
                 write_line(
