@@ -163,9 +163,6 @@ pub fn candidates(input: &CaseInput) -> Vec<CaseInput> {
         with(&|c| c.duration_ms = 2.0);
         with(&|c| c.duration_ms = (c.duration_ms / 2.0).max(2.0));
     }
-    if input.threads != 2 {
-        with(&|c| c.threads = 2);
-    }
     if input.policy_index != 0 {
         with(&|c| c.policy_index = 0);
     }
