@@ -1,5 +1,6 @@
 //! The telemetry-overhead benchmark: what `hems_obs` costs the code it
-//! instruments, written to `BENCH_obs.json` at the repo root.
+//! instruments, written to `BENCH_obs.json` at the repo root, or under
+//! `target/bench-smoke/` in smoke mode.
 //!
 //! Two comparisons:
 //!
@@ -194,17 +195,17 @@ fn main() {
             ),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(path, report.render_pretty() + "\n").expect("write BENCH_obs.json");
+    let path = c.report_path("BENCH_obs.json");
+    std::fs::write(&path, report.render_pretty() + "\n").expect("write BENCH_obs.json");
 
     // Self-validation: the file on disk must carry the headline fields
     // (the verify script relies on the report existing and being sane).
-    let written = std::fs::read_to_string(path).expect("re-read BENCH_obs.json");
+    let written = std::fs::read_to_string(&path).expect("re-read BENCH_obs.json");
     for field in ["schema", "sweep_overhead", "record_cost", "overhead_paired"] {
         assert!(
             written.contains(&format!("\"{field}\"")),
             "report is missing '{field}'"
         );
     }
-    println!("[obs bench] wrote {path}");
+    println!("[obs bench] wrote {}", path.display());
 }

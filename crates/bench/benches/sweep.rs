@@ -1,6 +1,7 @@
 //! The scenario-sweep benchmark: serial vs batch engine throughput,
 //! batch-kernel microbenches, and LUT vs exact solver speed, written to
-//! `BENCH_sweep.json` at the repo root (plus the usual stdout report).
+//! `BENCH_sweep.json` at the repo root, or under `target/bench-smoke/`
+//! in smoke mode (plus the usual stdout report).
 //!
 //! Four comparisons, matching the performance claims this repo makes:
 //!
@@ -479,7 +480,7 @@ fn main() {
             ),
         ),
     ]);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
-    std::fs::write(path, report.render_pretty() + "\n").expect("write BENCH_sweep.json");
-    println!("[sweep bench] wrote {path}");
+    let path = c.report_path("BENCH_sweep.json");
+    std::fs::write(&path, report.render_pretty() + "\n").expect("write BENCH_sweep.json");
+    println!("[sweep bench] wrote {}", path.display());
 }

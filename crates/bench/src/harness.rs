@@ -17,12 +17,15 @@
 //!
 //! **Smoke mode** (`HEMS_BENCH_SMOKE=1`, or [`Harness::smoke`]): one
 //! sample of one call, no warmup — CI checks that every bench *runs*
-//! without paying for statistics.
+//! without paying for statistics. Smoke reports go under
+//! `target/bench-smoke/` ([`Harness::report_path`]), so they never
+//! overwrite the committed `BENCH_*.json` files.
 
 use hems_obs::clock::monotonic_ns;
 use hems_obs::json::Value;
 use hems_obs::{fmt_ns, percentile};
 use std::hint::black_box;
+use std::path::{Path, PathBuf};
 
 /// Target minimum duration of one timed batch, in nanoseconds.
 const MIN_BATCH_NS: f64 = 1e6;
@@ -103,6 +106,23 @@ impl Harness {
     /// `true` when running in smoke mode.
     pub fn is_smoke(&self) -> bool {
         self.smoke
+    }
+
+    /// Where a bench writes its report `name`: the committed file at the
+    /// repo root for full runs, `target/bench-smoke/` (created on demand)
+    /// for smoke runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the smoke directory cannot be created.
+    pub fn report_path(&self, name: &str) -> PathBuf {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        if !self.smoke {
+            return root.join(name);
+        }
+        let dir = root.join("target/bench-smoke");
+        std::fs::create_dir_all(&dir).expect("create target/bench-smoke");
+        dir.join(name)
     }
 
     /// Times `f`, records the measurement, prints a summary line, and

@@ -128,8 +128,7 @@ impl DvfsLadder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use hems_units::XorShiftRng;
 
     #[test]
     fn constructor_sorts_and_dedups() {
@@ -192,24 +191,30 @@ mod tests {
         assert_eq!(op.to_string(), "0.550 V @ 136.4 MHz");
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn floor_le_nearest_le_ceil(v in 0.3f64..1.2) {
+    #[test]
+    fn floor_le_nearest_le_ceil() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let v = rng.range_f64(0.3, 1.2);
             let l = DvfsLadder::paper_65nm();
             let t = Volts::new(v);
-            prop_assert!(l.floor(t) <= l.ceil(t));
+            assert!(l.floor(t) <= l.ceil(t), "v {v}");
             let n = l.nearest(t);
-            prop_assert!(n >= l.levels()[0] && n <= *l.levels().last().unwrap());
+            assert!(
+                n >= l.levels()[0] && n <= *l.levels().last().unwrap(),
+                "v {v}"
+            );
         }
+    }
 
-        #[test]
-        fn floor_is_le_target_when_in_range(v in 0.45f64..1.0) {
+    #[test]
+    fn floor_is_le_target_when_in_range() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let v = rng.range_f64(0.45, 1.0);
             let l = DvfsLadder::paper_65nm();
-            prop_assert!(l.floor(Volts::new(v)) <= Volts::new(v));
-            prop_assert!(l.ceil(Volts::new(v)) >= Volts::new(v));
+            assert!(l.floor(Volts::new(v)) <= Volts::new(v), "v {v}");
+            assert!(l.ceil(Volts::new(v)) >= Volts::new(v), "v {v}");
         }
     }
 }

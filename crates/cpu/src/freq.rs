@@ -111,8 +111,7 @@ impl FrequencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use hems_units::XorShiftRng;
 
     #[test]
     fn calibration_points_match_paper() {
@@ -181,27 +180,30 @@ mod tests {
         assert!(FrequencyModel::new(Hertz::from_giga(1.0), Volts::new(0.4), 3.5).is_err());
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn frequency_is_monotone_above_threshold(v in 0.41f64..1.2, dv in 0.001f64..0.2) {
+    #[test]
+    fn frequency_is_monotone_above_threshold() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (v, dv) = (rng.range_f64(0.41, 1.2), rng.range_f64(0.001, 0.2));
             let m = FrequencyModel::paper_65nm();
             let f1 = m.max_frequency(Volts::new(v));
             let f2 = m.max_frequency(Volts::new(v + dv));
-            prop_assert!(f2 > f1);
+            assert!(f2 > f1, "v {v} dv {dv}");
         }
+    }
 
-        #[test]
-        fn inverse_is_minimal_voltage(mhz in 1.0f64..1100.0) {
+    #[test]
+    fn inverse_is_minimal_voltage() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let mhz = rng.range_f64(1.0, 1100.0);
             let m = FrequencyModel::paper_65nm();
             let v = m
                 .voltage_for_frequency(Hertz::from_mega(mhz), Volts::new(1.0))
                 .unwrap();
             // A hair below v the target must be unreachable.
             let below = m.max_frequency(v - Volts::from_milli(2.0));
-            prop_assert!(below.to_mega() < mhz);
+            assert!(below.to_mega() < mhz, "f {mhz} MHz");
         }
     }
 }

@@ -92,8 +92,7 @@ impl PowerModel {
 mod tests {
     use super::*;
     use crate::FrequencyModel;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use hems_units::XorShiftRng;
 
     #[test]
     fn full_load_at_055v_is_about_10mw() {
@@ -140,29 +139,35 @@ mod tests {
         );
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn total_splits_into_components(v in 0.45f64..1.0, mhz in 1.0f64..500.0) {
+    #[test]
+    fn total_splits_into_components() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (v, mhz) = (rng.range_f64(0.45, 1.0), rng.range_f64(1.0, 500.0));
             let p = PowerModel::paper_65nm();
             let vdd = Volts::new(v);
             let f = Hertz::from_mega(mhz);
             let total = p.total(vdd, f);
             let sum = p.dynamic(vdd, f) + p.leakage(vdd);
-            prop_assert!((total.watts() - sum.watts()).abs() < 1e-15);
-            prop_assert!(total.watts() > 0.0);
+            assert!(
+                (total.watts() - sum.watts()).abs() < 1e-15,
+                "v {v} f {mhz} MHz"
+            );
+            assert!(total.watts() > 0.0, "v {v} f {mhz} MHz");
         }
+    }
 
-        #[test]
-        fn power_monotone_in_both_axes(v in 0.45f64..0.95, mhz in 1.0f64..400.0) {
+    #[test]
+    fn power_monotone_in_both_axes() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (v, mhz) = (rng.range_f64(0.45, 0.95), rng.range_f64(1.0, 400.0));
             let p = PowerModel::paper_65nm();
             let base = p.total(Volts::new(v), Hertz::from_mega(mhz));
             let more_v = p.total(Volts::new(v + 0.05), Hertz::from_mega(mhz));
             let more_f = p.total(Volts::new(v), Hertz::from_mega(mhz + 50.0));
-            prop_assert!(more_v > base);
-            prop_assert!(more_f > base);
+            assert!(more_v > base, "v {v} f {mhz} MHz");
+            assert!(more_f > base, "v {v} f {mhz} MHz");
         }
     }
 }

@@ -215,8 +215,7 @@ impl Microprocessor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use hems_units::XorShiftRng;
 
     #[test]
     fn paper_frame_takes_15ms_at_half_volt() {
@@ -320,24 +319,27 @@ mod tests {
         );
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn max_speed_power_is_monotone(v in 0.45f64..0.95) {
+    #[test]
+    fn max_speed_power_is_monotone() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let v = rng.range_f64(0.45, 0.95);
             let cpu = Microprocessor::paper_65nm();
             let p1 = cpu.power_at_max_speed(Volts::new(v)).unwrap();
             let p2 = cpu.power_at_max_speed(Volts::new(v + 0.05)).unwrap();
-            prop_assert!(p2 > p1);
+            assert!(p2 > p1, "v {v}");
         }
+    }
 
-        #[test]
-        fn energy_per_cycle_exceeds_dynamic_floor(v in 0.45f64..1.0) {
+    #[test]
+    fn energy_per_cycle_exceeds_dynamic_floor() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let v = rng.range_f64(0.45, 1.0);
             let cpu = Microprocessor::paper_65nm();
             let e = cpu.energy_per_cycle(Volts::new(v));
             let dyn_e = cpu.power_model().dynamic_energy_per_cycle(Volts::new(v));
-            prop_assert!(e > dyn_e);
+            assert!(e > dyn_e, "v {v}");
         }
     }
 }

@@ -67,9 +67,8 @@ pub fn panic_rule_applies(rel: &str) -> bool {
         // a divergence in CI, so it is held to the same bar it enforces.
         || rel.starts_with("crates/conformance/src/")
         // The serving front tier: a panicking router drops every shard
-        // at once, and the load harness must survive saturated targets.
+        // at once.
         || rel.starts_with("crates/router/src/")
-        || rel.starts_with("crates/load/src/")
         || matches!(
             rel,
             "crates/sim/src/pool.rs" | "crates/sim/src/sweep.rs" | "crates/sim/src/engine.rs"
@@ -102,14 +101,12 @@ pub fn timing_rule_applies(rel: &str) -> bool {
         // crate's monotonic counter (throughput reporting in `main.rs`,
         // never test semantics).
         || rel.starts_with("crates/conformance/src/")
-        // The serving front tier and load harness: routing decisions and
-        // schedules are pure functions of seed + config; the few places
-        // that legitimately touch wall time (probe pacing, open-loop
-        // send pacing, latency measurement) are named in the allowlist.
-        // The bins are exempt like the fleet bin: they time experiments
-        // for BENCH_load.json, and wall-clock figures live there.
+        // The serving front tier: routing decisions and schedules are
+        // pure functions of seed + config; the few places that
+        // legitimately touch wall time (probe pacing, latency
+        // measurement) are named in the allowlist. The bin is exempt
+        // like the fleet bin.
         || (rel.starts_with("crates/router/src/") && !rel.starts_with("crates/router/src/bin/"))
-        || (rel.starts_with("crates/load/src/") && !rel.starts_with("crates/load/src/bin/"))
 }
 
 /// Every scanned path except the one module allowed to read the wall

@@ -1,7 +1,3 @@
-// Entire suite gated: requires the `proptest` feature plus re-adding the
-// proptest dev-dependency (removed for offline resolution).
-#![cfg(feature = "proptest")]
-
 //! Property tests of the paper's eq. 7 estimator: with constant input and
 //! drawn power, the threshold-crossing time *exactly* determines the input
 //! power, and the lookup table retargets consistently.
@@ -9,21 +5,18 @@
 use hems_mppt::{MppLookupTable, MppTracker, Observation, TimeBasedTracker};
 use hems_pv::{Irradiance, SolarCell, SolarCellModel};
 use hems_storage::{Capacitor, Crossing, Edge};
-use hems_units::{Efficiency, Farads, Seconds, Volts, Watts};
-use proptest::prelude::*;
+use hems_units::{Efficiency, Farads, Seconds, Volts, Watts, XorShiftRng};
 
-proptest! {
-    /// Analytic round trip: compute the exact V1->V2 traversal time for a
-    /// constant net power, feed synthetic crossings at those instants, and
-    /// the estimate must recover the input power to first order (the only
-    /// error sources are the one-step sampling of drawn power, absent here).
-    #[test]
-    fn constant_power_discharges_recover_p_in_exactly(
-        p_in_mw in 0.2f64..10.0,
-        p_drawn_extra_mw in 0.5f64..12.0,
-    ) {
-        let p_in = Watts::from_milli(p_in_mw);
-        let p_drawn = p_in + Watts::from_milli(p_drawn_extra_mw);
+/// Analytic round trip: compute the exact V1->V2 traversal time for a
+/// constant net power, feed synthetic crossings at those instants, and
+/// the estimate must recover the input power to first order (the only
+/// error sources are the one-step sampling of drawn power, absent here).
+#[test]
+fn constant_power_discharges_recover_p_in_exactly() {
+    let mut rng = XorShiftRng::seed_from_u64(7);
+    for _ in 0..256 {
+        let p_in = Watts::from_milli(rng.range_f64(0.2, 10.0));
+        let p_drawn = p_in + Watts::from_milli(rng.range_f64(0.5, 12.0));
         let cap = {
             let mut c = Capacitor::new(Farads::from_micro(100.0), Volts::new(1.6)).unwrap();
             c.set_voltage(Volts::new(1.0)).unwrap();
@@ -42,12 +35,8 @@ proptest! {
         )
         .unwrap();
         // Arm at t=0 with a falling V1 crossing.
-        let mut obs = Observation::basic(
-            Seconds::ZERO,
-            Volts::new(1.0),
-            p_drawn,
-            Efficiency::UNITY,
-        );
+        let mut obs =
+            Observation::basic(Seconds::ZERO, Volts::new(1.0), p_drawn, Efficiency::UNITY);
         obs.crossings = vec![Crossing {
             index: 0,
             threshold: Volts::new(1.0),
@@ -64,7 +53,12 @@ proptest! {
         );
         tracker.update(&mid);
         // Complete at the exact analytic time with a falling V2 crossing.
-        let mut done = Observation::basic(Seconds::new(t.seconds()), Volts::new(0.9), p_drawn, Efficiency::UNITY);
+        let mut done = Observation::basic(
+            Seconds::new(t.seconds()),
+            Volts::new(0.9),
+            p_drawn,
+            Efficiency::UNITY,
+        );
         done.crossings = vec![Crossing {
             index: 1,
             threshold: Volts::new(0.9),
@@ -73,25 +67,33 @@ proptest! {
         }];
         tracker.update(&done);
         let est = tracker.last_estimate().expect("measurement completed");
-        prop_assert!(
+        assert!(
             (est.watts() - p_in.watts()).abs() < 1e-9 * p_in.watts().max(1e-3),
-            "estimated {:?} vs true {:?}", est, p_in
+            "estimated {:?} vs true {:?}",
+            est,
+            p_in
         );
     }
+}
 
-    /// The lookup table is consistent with the cell model across the whole
-    /// light range: looking up the MPP power of any light level returns a
-    /// voltage whose delivered power is within 1% of that MPP.
-    #[test]
-    fn lut_targets_are_near_optimal(g in 0.05f64..1.1) {
-        let lut = MppLookupTable::paper_default();
+/// The lookup table is consistent with the cell model across the whole
+/// light range: looking up the MPP power of any light level returns a
+/// voltage whose delivered power is within 1% of that MPP.
+#[test]
+fn lut_targets_are_near_optimal() {
+    let lut = MppLookupTable::paper_default();
+    let mut rng = XorShiftRng::seed_from_u64(7);
+    for _ in 0..256 {
+        let g = rng.range_f64(0.05, 1.1);
         let cell = SolarCell::new(SolarCellModel::kxob22(), Irradiance::new(g).unwrap());
         let mpp = cell.mpp().unwrap();
         let v = lut.mpp_voltage(mpp.power);
         let delivered = cell.power_at(v);
-        prop_assert!(
+        assert!(
             delivered.watts() > mpp.power.watts() * 0.99,
-            "at {g}: lut voltage {v} delivers {:?} of {:?}", delivered, mpp.power
+            "at {g}: lut voltage {v} delivers {:?} of {:?}",
+            delivered,
+            mpp.power
         );
     }
 }

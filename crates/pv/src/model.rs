@@ -228,8 +228,7 @@ impl SolarCellModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use hems_units::XorShiftRng;
 
     #[test]
     fn constructor_validates_parameters() {
@@ -386,26 +385,30 @@ mod tests {
         assert!(SolarCellModel::fit_knee(isc, voc, Volts::new(1.49)).is_err());
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn current_scales_roughly_with_irradiance(g in 0.05f64..1.0) {
+    #[test]
+    fn current_scales_roughly_with_irradiance() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
             let m = SolarCellModel::kxob22();
-            let g = Irradiance::new(g).unwrap();
+            let g = Irradiance::new(rng.range_f64(0.05, 1.0)).unwrap();
             let isc = m.current(Volts::ZERO, g);
-            prop_assert!((isc.amps() - m.photocurrent(g).amps()).abs() < 1e-9);
+            assert!(
+                (isc.amps() - m.photocurrent(g).amps()).abs() < 1e-9,
+                "{g:?}"
+            );
         }
+    }
 
-        #[test]
-        fn power_is_nonnegative_and_bounded(v in 0.0f64..2.0, g in 0.0f64..1.0) {
+    #[test]
+    fn power_is_nonnegative_and_bounded() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (v, g) = (rng.range_f64(0.0, 2.0), rng.range_f64(0.0, 1.0));
             let m = SolarCellModel::kxob22();
-            let g = Irradiance::new(g).unwrap();
-            let p = m.power(Volts::new(v), g);
-            prop_assert!(p.watts() >= 0.0);
+            let p = m.power(Volts::new(v), Irradiance::new(g).unwrap());
+            assert!(p.watts() >= 0.0, "v {v} g {g}");
             // Power can never exceed Voc * Isc.
-            prop_assert!(p.watts() <= 1.5 * 0.015 + 1e-9);
+            assert!(p.watts() <= 1.5 * 0.015 + 1e-9, "v {v} g {g}");
         }
     }
 }

@@ -219,8 +219,7 @@ impl Regulator for ScRegulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use hems_units::XorShiftRng;
 
     #[test]
     fn ratio_validation_and_math() {
@@ -333,29 +332,29 @@ mod tests {
         assert_eq!(sc.output_range(Volts::ZERO), (Volts::ZERO, Volts::ZERO));
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn efficiency_bounded_by_intrinsic_ratio(
-            v_out in 0.2f64..1.0,
-            p_mw in 0.1f64..20.0,
-        ) {
+    #[test]
+    fn efficiency_bounded_by_intrinsic_ratio() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (v_out, p_mw) = (rng.range_f64(0.2, 1.0), rng.range_f64(0.1, 20.0));
             let sc = ScRegulator::paper_65nm();
             let v_in = Volts::new(1.2);
             let Some(ratio) = sc.best_ratio(v_in, Volts::new(v_out)) else {
-                return Ok(());
+                continue;
             };
             let eta_lin = v_out / ratio.ideal_output(v_in).volts();
             let eta = sc
                 .efficiency(v_in, Volts::new(v_out), Watts::from_milli(p_mw))
                 .unwrap();
-            prop_assert!(eta.ratio() <= eta_lin + 1e-12);
+            assert!(eta.ratio() <= eta_lin + 1e-12, "v_out {v_out} p {p_mw} mW");
         }
+    }
 
-        #[test]
-        fn p_in_strictly_increasing_in_load(p in 0.1f64..10.0) {
+    #[test]
+    fn p_in_strictly_increasing_in_load() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let p = rng.range_f64(0.1, 10.0);
             let sc = ScRegulator::paper_65nm();
             let v_in = Volts::new(1.2);
             let v_out = Volts::new(0.55);
@@ -364,7 +363,7 @@ mod tests {
                 .convert(v_in, v_out, Watts::from_milli(p * 1.1))
                 .unwrap()
                 .p_in;
-            prop_assert!(b > a);
+            assert!(b > a, "p {p} mW");
         }
     }
 }

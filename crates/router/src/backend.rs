@@ -186,7 +186,7 @@ mod tests {
         DialConfig {
             connect_timeout: Duration::from_millis(500),
             request_timeout: Duration::from_secs(2),
-            max_line_bytes: 64 * 1024,
+            max_line_bytes: hems_serve::wire::MAX_LINE_BYTES,
             expect_shard,
         }
     }

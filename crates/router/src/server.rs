@@ -45,7 +45,7 @@ use hems_serve::proto::{
     error_response, ok_response, overloaded_response, retryable_error_response, QueryKind, Request,
     ScenarioSpec,
 };
-use hems_serve::wire::{is_timeout, read_line_bounded, send_line};
+use hems_serve::wire::{is_timeout, read_line_bounded, send_line, MAX_LINE_BYTES};
 use hems_units::XorShiftRng;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -94,7 +94,7 @@ impl Default for RouterConfig {
         RouterConfig {
             backends: Vec::new(),
             max_inflight_per_shard: 128,
-            max_line_bytes: 64 * 1024,
+            max_line_bytes: MAX_LINE_BYTES,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(10)),
             connect_timeout: Duration::from_millis(1000),

@@ -22,8 +22,9 @@
 
 use crate::json::{parse, Value};
 use crate::proto::{QueryKind, Request, ScenarioSpec};
+use crate::wire::{read_line_bounded, send_line, MAX_LINE_BYTES};
 use hems_units::XorShiftRng;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
@@ -160,33 +161,11 @@ impl Client {
             Err(message) => return Err(ClientError::Rejected(message)),
         };
         let line = Request::render_line_with_id(&id, kind, Some(spec));
-        let mut last = String::new();
-        for attempt in 1..=self.policy.max_attempts.max(1) {
-            if attempt > 1 {
-                self.retries += 1;
-                let (base, max) = (self.policy.base_delay, self.policy.max_delay);
-                thread::sleep(backoff(attempt, base, max, &mut self.rng));
-            }
-            match self.attempt(&line, &id) {
-                Ok(Outcome::Answered(answer)) => {
-                    return Ok(PlanAnswer {
-                        result: answer.result,
-                        cached: answer.cached,
-                        attempts: attempt,
-                    })
-                }
-                Ok(Outcome::Terminal(message)) => return Err(ClientError::Rejected(message)),
-                Ok(Outcome::Retry(message)) => last = message,
-                Err(e) => {
-                    // IO trouble: the connection is suspect, rebuild it.
-                    self.conn = None;
-                    last = e.to_string();
-                }
-            }
-        }
-        Err(ClientError::Exhausted {
-            attempts: self.policy.max_attempts.max(1),
-            last,
+        let (answer, attempts) = self.call(&line, &id)?;
+        Ok(PlanAnswer {
+            result: answer.result,
+            cached: answer.cached,
+            attempts,
         })
     }
 
@@ -198,6 +177,13 @@ impl Client {
     pub fn stats(&mut self) -> Result<Value, ClientError> {
         let id = Value::str("stats");
         let line = Request::render_line_with_id(&id, QueryKind::Stats, None);
+        Ok(self.call(&line, &id)?.0.result)
+    }
+
+    /// Sends `line` until it is answered, terminally refused, or the
+    /// attempt budget runs out, backing off between attempts. Returns
+    /// the answer and the attempts it took (1 = first try).
+    fn call(&mut self, line: &str, id: &Value) -> Result<(Answered, u32), ClientError> {
         let mut last = String::new();
         for attempt in 1..=self.policy.max_attempts.max(1) {
             if attempt > 1 {
@@ -205,11 +191,12 @@ impl Client {
                 let (base, max) = (self.policy.base_delay, self.policy.max_delay);
                 thread::sleep(backoff(attempt, base, max, &mut self.rng));
             }
-            match self.attempt(&line, &id) {
-                Ok(Outcome::Answered(answer)) => return Ok(answer.result),
+            match self.attempt(line, id) {
+                Ok(Outcome::Answered(answer)) => return Ok((answer, attempt)),
                 Ok(Outcome::Terminal(message)) => return Err(ClientError::Rejected(message)),
                 Ok(Outcome::Retry(message)) => last = message,
                 Err(e) => {
+                    // IO trouble: the connection is suspect, rebuild it.
                     self.conn = None;
                     last = e.to_string();
                 }
@@ -237,19 +224,13 @@ impl Client {
     /// One wire round trip. `Err` means the connection is unusable.
     fn attempt(&mut self, line: &str, want_id: &Value) -> io::Result<Outcome> {
         let reader = self.connection()?;
-        {
-            let stream = reader.get_mut();
-            stream.write_all(line.as_bytes())?;
-            stream.write_all(b"\n")?;
-            stream.flush()?;
-        }
-        let mut response = String::new();
-        if reader.read_line(&mut response)? == 0 {
+        send_line(reader.get_mut(), line)?;
+        let Some(response) = read_line_bounded(reader, MAX_LINE_BYTES)? else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
-        }
+        };
         let value = parse(&response).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("torn response: {e}"))
         })?;
@@ -408,6 +389,31 @@ mod tests {
         }
         assert_eq!(client.retries(), 0, "terminal errors burn no retries");
         handle.shutdown();
+    }
+
+    #[test]
+    fn oversized_replies_error_instead_of_buffering() {
+        // A fake server that answers with one line just over the cap.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let fake = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            read_line_bounded(&mut reader, MAX_LINE_BYTES).expect("request");
+            let _ = send_line(&mut stream, &"x".repeat(MAX_LINE_BYTES + 1));
+        });
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..test_policy()
+        };
+        let mut client = Client::new(addr, policy);
+        match client.stats() {
+            Err(ClientError::Exhausted { attempts: 1, last }) => {
+                assert!(last.contains("exceeds the size cap"), "{last}");
+            }
+            other => panic!("expected Exhausted, got {other:?}"),
+        }
+        fake.join().expect("fake server");
     }
 
     #[test]

@@ -44,11 +44,11 @@ use crate::proto::{
 };
 use crate::stats::ServeStats;
 use crate::sync::relock;
-use crate::wire::{is_timeout, read_line_bounded};
+use crate::wire::{is_timeout, read_line_bounded, send_line, MAX_LINE_BYTES};
 use hems_obs::clock::monotonic_ns;
 use hems_sim::WorkerPool;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -98,7 +98,7 @@ impl Default for ServeConfig {
             cache_capacity: 1024,
             max_queue: 256,
             max_batch: 32,
-            max_line_bytes: 64 * 1024,
+            max_line_bytes: MAX_LINE_BYTES,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(10)),
             inject_panic_one_in: None,
@@ -322,13 +322,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-fn write_line(conn: &Arc<Mutex<TcpStream>>, line: &str) {
-    let mut stream = relock(conn);
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
-    let _ = stream.flush();
-}
-
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
@@ -349,10 +342,8 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(_) => {
                 shared.stats.errors.inc();
-                write_line(
-                    &writer,
-                    &error_response(&crate::json::Value::Null, "bad line"),
-                );
+                let reply = error_response(&crate::json::Value::Null, "bad line");
+                let _ = send_line(&mut relock(&writer), &reply);
                 return;
             }
         };
@@ -365,16 +356,15 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             Ok(request) => request,
             Err((id, message)) => {
                 shared.stats.errors.inc();
-                write_line(&writer, &error_response(&id, &message));
+                let reply = error_response(&id, &message);
+                let _ = send_line(&mut relock(&writer), &reply);
                 continue;
             }
         };
         match request.kind {
             QueryKind::Stats => {
-                write_line(
-                    &writer,
-                    &ok_response(&request.id, false, shared.stats_value()),
-                );
+                let reply = ok_response(&request.id, false, shared.stats_value());
+                let _ = send_line(&mut relock(&writer), &reply);
                 shared.stats.record_latency_ns(elapsed_ns(started));
             }
             QueryKind::Metrics => {
@@ -383,18 +373,17 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 let merged = hems_obs::global()
                     .snapshot()
                     .merged(shared.stats.registry().snapshot());
-                write_line(&writer, &ok_response(&request.id, false, merged.to_value()));
+                let reply = ok_response(&request.id, false, merged.to_value());
+                let _ = send_line(&mut relock(&writer), &reply);
                 shared.stats.record_latency_ns(elapsed_ns(started));
             }
             QueryKind::Shutdown => {
-                write_line(
-                    &writer,
-                    &ok_response(
-                        &request.id,
-                        false,
-                        crate::json::Value::obj(vec![("draining", crate::json::Value::Bool(true))]),
-                    ),
+                let reply = ok_response(
+                    &request.id,
+                    false,
+                    crate::json::Value::obj(vec![("draining", crate::json::Value::Bool(true))]),
                 );
+                let _ = send_line(&mut relock(&writer), &reply);
                 shared.begin_shutdown();
                 return;
             }
@@ -413,23 +402,23 @@ fn handle_plan_query(
         // Parsing guarantees plan queries carry a scenario; answer rather
         // than crash the connection if that invariant ever slips.
         shared.stats.errors.inc();
-        write_line(
-            writer,
-            &error_response(&request.id, "plan query is missing a scenario"),
-        );
+        let reply = error_response(&request.id, "plan query is missing a scenario");
+        let _ = send_line(&mut relock(writer), &reply);
         return;
     };
     let job = match PlanJob::build(request.kind, spec) {
         Ok(job) => job,
         Err(message) => {
             shared.stats.errors.inc();
-            write_line(writer, &error_response(&request.id, &message));
+            let reply = error_response(&request.id, &message);
+            let _ = send_line(&mut relock(writer), &reply);
             return;
         }
     };
     if let Some(rendered) = shared.cache.get(job.key) {
         shared.stats.hits.inc();
-        write_line(writer, &ok_line(&request.id, true, &rendered));
+        let reply = ok_line(&request.id, true, &rendered);
+        let _ = send_line(&mut relock(writer), &reply);
         shared.stats.record_latency_ns(elapsed_ns(started));
         return;
     }
@@ -456,7 +445,8 @@ fn handle_plan_query(
     match refused {
         Some(reason) => {
             shared.stats.overloaded.inc();
-            write_line(writer, &overloaded_response(&request.id, reason));
+            let reply = overloaded_response(&request.id, reason);
+            let _ = send_line(&mut relock(writer), &reply);
         }
         None => shared.queue_ready.notify_one(),
     }
@@ -605,7 +595,8 @@ fn batch_loop(shared: &Arc<Shared>) {
                     let rendered = result.render();
                     shared.cache.insert(key, rendered.clone());
                     for p in pendings {
-                        write_line(&p.conn, &ok_line(&p.id, false, &rendered));
+                        let reply = ok_line(&p.id, false, &rendered);
+                        let _ = send_line(&mut relock(&p.conn), &reply);
                         shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
                     }
                 }
@@ -617,7 +608,8 @@ fn batch_loop(shared: &Arc<Shared>) {
                     // poison the key.
                     shared.stats.errors.inc();
                     for p in pendings {
-                        write_line(&p.conn, &error_response(&p.id, &message));
+                        let reply = error_response(&p.id, &message);
+                        let _ = send_line(&mut relock(&p.conn), &reply);
                         shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
                     }
                 }
@@ -628,7 +620,8 @@ fn batch_loop(shared: &Arc<Shared>) {
                     // marked retryable so a well-behaved client resubmits.
                     shared.stats.faults.inc();
                     for p in pendings {
-                        write_line(&p.conn, &retryable_error_response(&p.id, &message));
+                        let reply = retryable_error_response(&p.id, &message);
+                        let _ = send_line(&mut relock(&p.conn), &reply);
                         shared.stats.record_latency_ns(elapsed_ns(p.accepted_at));
                     }
                 }
@@ -642,7 +635,7 @@ mod tests {
     use super::*;
     use crate::json::{parse, Value};
     use crate::proto::ScenarioSpec;
-    use std::io::{BufRead, Read};
+    use std::io::{BufRead, Read, Write};
 
     fn small_config() -> ServeConfig {
         ServeConfig {
@@ -656,9 +649,7 @@ mod tests {
     }
 
     fn query_line(stream: &mut TcpStream, line: &str) -> Value {
-        stream
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("write request");
+        send_line(stream, line).expect("write request");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut response = String::new();
         reader.read_line(&mut response).expect("read response");

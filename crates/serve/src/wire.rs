@@ -3,13 +3,16 @@
 //!
 //! The protocol's framing is one `\n`-terminated JSON line per message,
 //! so every peer needs the same two primitives — a bounded line read
-//! that cannot be ballooned by a hostile sender, and a
-//! write-all-and-flush — plus a portable timeout test (`read` on a
-//! socket with a deadline fails as `WouldBlock` on Unix and `TimedOut`
-//! on Windows).
+//! that cannot be ballooned by a hostile sender, and a one-write line
+//! send — plus a portable timeout test (`read` on a socket with a
+//! deadline fails as `WouldBlock` on Unix and `TimedOut` on Windows).
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+
+/// The default cap on one NDJSON line, bytes: the server's and router's
+/// `max_line_bytes` default and the retrying client's reply cap.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Reads one `\n`-terminated line with a hard size cap. `Ok(None)` = EOF
 /// before any byte. Reads byte-at-a-time through the caller's
@@ -40,7 +43,7 @@ pub fn read_line_bounded<R: Read>(reader: &mut R, max_bytes: usize) -> io::Resul
                 if line.len() >= max_bytes {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
-                        "request line exceeds the size cap",
+                        "line exceeds the size cap",
                     ));
                 }
                 line.push(b);
@@ -50,15 +53,15 @@ pub fn read_line_bounded<R: Read>(reader: &mut R, max_bytes: usize) -> io::Resul
     }
 }
 
-/// Writes `line` plus the terminating newline and flushes.
+/// Writes `line` plus the terminating newline in one `write_all`, so a
+/// `TCP_NODELAY` socket sends the frame as one segment rather than two.
+/// `TcpStream` is unbuffered, so there is nothing to flush.
 ///
 /// # Errors
 ///
-/// Propagates the underlying write/flush error.
+/// Propagates the underlying write error.
 pub fn send_line(stream: &mut TcpStream, line: &str) -> io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+    stream.write_all(format!("{line}\n").as_bytes())
 }
 
 /// `true` when an IO error is a socket deadline expiry.

@@ -187,8 +187,7 @@ impl Capacitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use hems_units::XorShiftRng;
 
     fn cap_at(v: f64) -> Capacitor {
         let mut c = Capacitor::paper_board();
@@ -302,16 +301,14 @@ mod tests {
         assert!((c.voltage().volts() - 0.8).abs() < 1e-9);
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn many_small_steps_match_one_power_step(
-            v0 in 0.3f64..1.4,
-            p_mw in -8.0f64..8.0,
-        ) {
-            prop_assume!(p_mw.abs() > 0.01);
+    #[test]
+    fn many_small_steps_match_one_power_step() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (v0, p_mw) = (rng.range_f64(0.3, 1.4), rng.range_f64(-8.0, 8.0));
+            if p_mw.abs() <= 0.01 {
+                continue;
+            }
             let dt_total = 5e-3;
             let mut fine = cap_at(v0);
             let mut coarse = cap_at(v0);
@@ -324,19 +321,30 @@ mod tests {
                 let i = Amps::new(p_mw * 1e-3 / v);
                 fine.step(i, Seconds::new(dt_total / n as f64));
             }
-            prop_assert!(
-                (fine.voltage().volts() - coarse.voltage().volts()).abs() < 2e-3,
-                "fine {} vs coarse {}", fine.voltage(), coarse.voltage()
+            // Compare V² (stored energy), which `step_power` integrates
+            // exactly. V itself is ill-conditioned near empty (dV/dE ∝ 1/V):
+            // a draw that just drains the node turns the Euler loop's tiny
+            // energy error into tens of millivolts.
+            let (f, c) = (fine.voltage().volts(), coarse.voltage().volts());
+            assert!(
+                (f * f - c * c).abs() < 2e-3,
+                "v0 {v0} p {p_mw} mW: fine {} vs coarse {}",
+                fine.voltage(),
+                coarse.voltage()
             );
         }
+    }
 
-        #[test]
-        fn voltage_always_in_bounds(v0 in 0.0f64..1.6, i_ma in -50.0f64..50.0) {
+    #[test]
+    fn voltage_always_in_bounds() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (v0, i_ma) = (rng.range_f64(0.0, 1.6), rng.range_f64(-50.0, 50.0));
             let mut c = cap_at(v0);
             for _ in 0..100 {
                 c.step(Amps::from_milli(i_ma), Seconds::from_micro(100.0));
-                prop_assert!(c.voltage() >= Volts::ZERO);
-                prop_assert!(c.voltage() <= c.v_rating());
+                assert!(c.voltage() >= Volts::ZERO, "v0 {v0} i {i_ma} mA");
+                assert!(c.voltage() <= c.v_rating(), "v0 {v0} i {i_ma} mA");
             }
         }
     }

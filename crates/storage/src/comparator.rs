@@ -201,8 +201,7 @@ impl ComparatorBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use hems_units::XorShiftRng;
 
     #[test]
     fn comparator_detects_edges() {
@@ -280,18 +279,17 @@ mod tests {
         assert_eq!(Edge::Falling.to_string(), "falling");
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn edges_alternate(samples in proptest::collection::vec(0.5f64..1.5, 2..200)) {
+    #[test]
+    fn edges_alternate() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let len = rng.range_u32(2, 200);
             let mut c = Comparator::new(Volts::new(1.0), Volts::from_milli(20.0)).unwrap();
             let mut last: Option<Edge> = None;
-            for s in samples {
-                if let Some(e) = c.update(Volts::new(s)) {
+            for _ in 0..len {
+                if let Some(e) = c.update(Volts::new(rng.range_f64(0.5, 1.5))) {
                     if let Some(prev) = last {
-                        prop_assert_ne!(prev, e, "two consecutive {:?} edges", e);
+                        assert_ne!(prev, e, "two consecutive {e:?} edges");
                     }
                     last = Some(e);
                 }

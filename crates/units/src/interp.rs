@@ -604,6 +604,7 @@ mod monotone_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::XorShiftRng;
 
     fn ramp() -> LinearTable {
         LinearTable::new(vec![0.0, 1.0, 3.0], vec![2.0, 4.0, 0.0]).unwrap()
@@ -685,44 +686,50 @@ mod tests {
         assert!(ramp().inverse().is_err());
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
-
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn eval_is_within_y_hull(x in -5.0f64..8.0) {
-            let t = ramp();
-            let y = t.eval(x);
-            prop_assert!((0.0..=4.0).contains(&y));
+    #[test]
+    fn eval_is_within_y_hull() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let x = rng.range_f64(-5.0, 8.0);
+            let y = ramp().eval(x);
+            assert!((0.0..=4.0).contains(&y), "x {x} y {y}");
         }
+    }
 
-        #[test]
-        fn eval_matches_knots_exactly(
-            knots in proptest::collection::vec((-100.0f64..100.0, -100.0f64..100.0), 2..20)
-        ) {
+    #[test]
+    fn eval_matches_knots_exactly() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let len = rng.range_u32(2, 20) as usize;
+            let knots: Vec<(f64, f64)> = (0..len)
+                .map(|_| (rng.range_f64(-100.0, 100.0), rng.range_f64(-100.0, 100.0)))
+                .collect();
             let mut xs: Vec<f64> = knots.iter().map(|k| k.0).collect();
             xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
             xs.dedup();
-            prop_assume!(xs.len() >= 2);
+            if xs.len() < 2 {
+                continue;
+            }
             let ys: Vec<f64> = knots.iter().take(xs.len()).map(|k| k.1).collect();
             let t = LinearTable::new(xs.clone(), ys.clone()).unwrap();
             for (x, y) in xs.iter().zip(ys.iter()) {
-                prop_assert!((t.eval(*x) - y).abs() < 1e-9);
+                assert!((t.eval(*x) - y).abs() < 1e-9, "knot ({x}, {y})");
             }
         }
+    }
 
-        #[test]
-        fn increasing_inverse_round_trips(y0 in 0.0f64..1.0, step in 0.1f64..2.0) {
+    #[test]
+    fn increasing_inverse_round_trips() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (y0, step) = (rng.range_f64(0.0, 1.0), rng.range_f64(0.1, 2.0));
             let xs = vec![0.0, 1.0, 2.0, 3.0];
             let ys: Vec<f64> = xs.iter().map(|x| y0 + step * x).collect();
             let t = LinearTable::new(xs, ys).unwrap();
             let inv = t.inverse().unwrap();
             for x in [0.0, 0.7, 1.3, 2.9, 3.0] {
                 let round = inv.eval(t.eval(x));
-                prop_assert!((round - x).abs() < 1e-9);
+                assert!((round - x).abs() < 1e-9, "y0 {y0} step {step} x {x}");
             }
         }
     }

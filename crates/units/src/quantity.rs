@@ -463,8 +463,7 @@ impl Farads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::XorShiftRng;
 
     #[test]
     fn same_dimension_arithmetic() {
@@ -586,41 +585,52 @@ mod tests {
         assert!((i.to_micro() - 15.0).abs() < 1e-9);
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn addition_is_commutative(a in -1e6f64..1e6, b in -1e6f64..1e6) {
+    #[test]
+    fn addition_is_commutative() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (a, b) = (rng.range_f64(-1e6, 1e6), rng.range_f64(-1e6, 1e6));
             let x = Watts::new(a) + Watts::new(b);
             let y = Watts::new(b) + Watts::new(a);
-            prop_assert_eq!(x, y);
+            assert_eq!(x, y);
         }
+    }
 
-        #[test]
-        fn power_division_inverts_multiplication(
-            v in 0.01f64..10.0,
-            i in 0.001f64..1.0,
-        ) {
+    #[test]
+    fn power_division_inverts_multiplication() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (v, i) = (rng.range_f64(0.01, 10.0), rng.range_f64(0.001, 1.0));
             let p = Volts::new(v) * Amps::new(i);
             let i_back = p / Volts::new(v);
-            prop_assert!((i_back.amps() - i).abs() <= 1e-12 * i.abs().max(1.0));
+            assert!(
+                (i_back.amps() - i).abs() <= 1e-12 * i.abs().max(1.0),
+                "v {v} i {i}"
+            );
         }
+    }
 
-        #[test]
-        fn energy_time_round_trip(p in 1e-6f64..10.0, t in 1e-6f64..1e3) {
+    #[test]
+    fn energy_time_round_trip() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (p, t) = (rng.range_f64(1e-6, 10.0), rng.range_f64(1e-6, 1e3));
             let e = Watts::new(p) * Seconds::new(t);
             let t_back = e / Watts::new(p);
-            prop_assert!((t_back.seconds() - t).abs() <= 1e-9 * t);
+            assert!((t_back.seconds() - t).abs() <= 1e-9 * t, "p {p} t {t}");
         }
+    }
 
-        #[test]
-        fn clamp_is_idempotent(x in -10.0f64..10.0) {
+    #[test]
+    fn clamp_is_idempotent() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let x = rng.range_f64(-10.0, 10.0);
             let lo = Volts::new(-1.0);
             let hi = Volts::new(1.0);
             let once = Volts::new(x).clamp(lo, hi);
-            prop_assert_eq!(once, once.clamp(lo, hi));
-            prop_assert!(once >= lo && once <= hi);
+            assert_eq!(once, once.clamp(lo, hi));
+            assert!(once >= lo && once <= hi, "x {x}");
         }
     }
 }

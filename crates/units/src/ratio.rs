@@ -107,8 +107,7 @@ impl fmt::Display for Efficiency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::XorShiftRng;
 
     #[test]
     fn constructor_validates_range() {
@@ -162,25 +161,27 @@ mod tests {
         assert_eq!(format!("{eta:.0}"), "68%");
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn apply_then_invert_round_trips(
-            eta in 0.01f64..1.0,
-            p in 1e-9f64..100.0,
-        ) {
+    #[test]
+    fn apply_then_invert_round_trips() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (eta, p) = (rng.range_f64(0.01, 1.0), rng.range_f64(1e-9, 100.0));
             let e = Efficiency::new(eta).unwrap();
             let back = e.input_for_output(e.apply(Watts::new(p)));
-            prop_assert!((back.watts() - p).abs() <= 1e-9 * p);
+            assert!((back.watts() - p).abs() <= 1e-9 * p, "eta {eta} p {p}");
         }
+    }
 
-        #[test]
-        fn compose_never_exceeds_either_stage(a in 0.0f64..=1.0, b in 0.0f64..=1.0) {
-            let c = Efficiency::new(a).unwrap().compose(Efficiency::new(b).unwrap());
-            prop_assert!(c.ratio() <= a + 1e-15);
-            prop_assert!(c.ratio() <= b + 1e-15);
+    #[test]
+    fn compose_never_exceeds_either_stage() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (a, b) = (rng.range_f64(0.0, 1.0), rng.range_f64(0.0, 1.0));
+            let c = Efficiency::new(a)
+                .unwrap()
+                .compose(Efficiency::new(b).unwrap());
+            assert!(c.ratio() <= a + 1e-15, "a {a} b {b}");
+            assert!(c.ratio() <= b + 1e-15, "a {a} b {b}");
         }
     }
 }

@@ -221,8 +221,7 @@ pub fn trapezoid(mut f: impl FnMut(f64) -> f64, lo: f64, hi: f64, n: usize) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "proptest")]
-    use proptest::prelude::*;
+    use crate::XorShiftRng;
 
     #[test]
     fn bisect_finds_sqrt2() {
@@ -314,30 +313,37 @@ mod tests {
         let _ = trapezoid(|x| x, 0.0, 1.0, 0);
     }
 
-    // Gated: requires the `proptest` feature plus re-adding the
-    // proptest dev-dependency (removed for offline resolution).
-    #[cfg(feature = "proptest")]
-    proptest! {
-        #[test]
-        fn bisect_root_is_accurate_for_linear(a in 0.5f64..10.0, b in -5.0f64..5.0) {
+    #[test]
+    fn bisect_root_is_accurate_for_linear() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let (a, b) = (rng.range_f64(0.5, 10.0), rng.range_f64(-5.0, 5.0));
             // f(x) = a*x + b has root -b/a; bracket it generously.
             let root = -b / a;
             let r = bisect(|x| a * x + b, root - 7.0, root + 11.0, 1e-12).unwrap();
-            prop_assert!((r - root).abs() < 1e-8);
+            assert!((r - root).abs() < 1e-8, "a {a} b {b}");
         }
+    }
 
-        #[test]
-        fn golden_min_matches_vertex(c in -3.0f64..3.0) {
+    #[test]
+    fn golden_min_matches_vertex() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let c = rng.range_f64(-3.0, 3.0);
             let x = golden_min(|x| (x - c).powi(2) + 1.0, -5.0, 5.0, 1e-10).unwrap();
-            prop_assert!((x - c).abs() < 1e-5);
+            assert!((x - c).abs() < 1e-5, "c {c} x {x}");
         }
+    }
 
-        #[test]
-        fn maximize_ge_endpoint_values(seed in 0.0f64..1.0) {
+    #[test]
+    fn maximize_ge_endpoint_values() {
+        let mut rng = XorShiftRng::seed_from_u64(7);
+        for _ in 0..256 {
+            let seed = rng.range_f64(0.0, 1.0);
             let f = |x: f64| (x * 7.0 + seed).sin() + 0.3 * x;
             let (_, y) = maximize(f, 0.0, 3.0, 301).unwrap();
-            prop_assert!(y + 1e-9 >= f(0.0));
-            prop_assert!(y + 1e-9 >= f(3.0));
+            assert!(y + 1e-9 >= f(0.0), "seed {seed}");
+            assert!(y + 1e-9 >= f(3.0), "seed {seed}");
         }
     }
 }

@@ -2,12 +2,17 @@
 # Tier-1 verification: offline release build, the full test suite, lint
 # gates (rustfmt + clippy with warnings denied), and smoke passes of the
 # benchmark harnesses (one un-warmed call per bench, so every bench
-# target's code path runs and the BENCH_*.json reports are written and
-# well-formed).
+# target's code path runs and its report is written and well-formed).
+# Every report this script writes lands under target/ (target/verify/
+# for the chaos, fleet and conformance bins, target/bench-smoke/ for the
+# smoke benches), so a run never rewrites a committed BENCH_*.json.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+out=target/verify
+smoke=target/bench-smoke
+mkdir -p "$out"
 
 echo "== tier-1: release build =="
 cargo build --release --workspace
@@ -53,22 +58,22 @@ PYEOF
 cargo test --release -q -p hems-lint --test gate json_output_round_trips > /dev/null \
     || { echo "verify: hems-lint JSON round-trip through hems_obs::json failed" >&2; exit 1; }
 
-echo "== chaos: seeded campaign (writes BENCH_chaos.json) =="
+echo "== chaos: seeded campaign (writes $out/BENCH_chaos.json) =="
 # Fixed-seed smoke campaign (DESIGN.md §11): brownouts at checkpoint
 # boundaries, worker-pool panics, and torn/dropped/slow connections
 # through the chaos proxy. The bin exits nonzero if any injected fault
 # goes unrecovered; the report is byte-for-byte reproducible per seed.
-cargo run --release -q -p hems-chaos -- --seed 7 --smoke --out BENCH_chaos.json > /dev/null
+cargo run --release -q -p hems-chaos -- --seed 7 --smoke --out "$out/BENCH_chaos.json" > /dev/null
 
-echo "== fleet: smoke (writes BENCH_fleet.json) =="
+echo "== fleet: smoke (writes $out/BENCH_fleet.json) =="
 # Fleet-twin smoke campaign (DESIGN.md §14): a small seeded fleet runs a
 # full simulated day through the serve-backed planning tier, with
 # regional brownout storms and sampled commit-digest checks. The bin
 # exits nonzero on any crash-consistency violation or unrecovered storm;
 # the report lines are byte-for-byte reproducible per seed.
-cargo run --release -q -p hems-fleet -- --smoke --out BENCH_fleet.json > /dev/null
+cargo run --release -q -p hems-fleet -- --smoke --out "$out/BENCH_fleet.json" > /dev/null
 
-echo "== conformance: goldens + fuzz (writes BENCH_conformance.json) =="
+echo "== conformance: goldens + fuzz (writes $out/BENCH_conformance.json) =="
 # The conformance gate (DESIGN.md §16): committed golden fixtures must
 # be bit-for-bit identical to recomputed solver outputs (intentional
 # changes are re-captured with --bless), the committed corpus of
@@ -80,10 +85,10 @@ cargo run --release -q -p hems-conformance -- --check
 cargo run --release -q -p hems-conformance -- --corpus
 cargo run --release -q -p hems-conformance -- --self-test
 cargo run --release -q -p hems-conformance -- --fuzz --seed 7 --cases 500 \
-    --budget-ms 120000 --out BENCH_conformance.json
-python3 - <<'EOF'
-import json
-report = json.load(open("BENCH_conformance.json"))
+    --budget-ms 120000 --out "$out/BENCH_conformance.json"
+python3 - "$out/BENCH_conformance.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
 assert report["fixtures"] >= 10, f"only {report['fixtures']} golden fixtures"
 oracles = report["oracles"]
 assert len(oracles) >= 6, f"only {len(oracles)} oracles ran"
@@ -98,34 +103,15 @@ print(f"verify: {report['fixtures']} fixtures bit-for-bit, "
       f"{rate:.0f} cases/sec overall")
 EOF
 
-echo "== load: router smoke (writes BENCH_load.json) =="
-# Serving-tier smoke (DESIGN.md §17): a seeded open-loop load run
-# against a router-fronted shard set. The bin exits nonzero if the
-# router-vs-direct response digests diverge; the checks below re-assert
-# the digest match and that no request errored in the digest pass.
-HEMS_BENCH_SMOKE=1 cargo run --release -q -p hems-load -- --out BENCH_load.json > /dev/null
-python3 - <<'EOF'
-import json
-report = json.load(open("BENCH_load.json"))
-digest = report["digest"]
-assert digest["match"], "router-vs-direct digest mismatch"
-assert digest["requests"] > 0, "digest pass sent no requests"
-scaling = report["scaling"]
-assert scaling["one_backend_hz"] > 0 and scaling["three_backend_hz"] > 0
-assert report["knee"]["points"], "knee ramp recorded no points"
-print(f"verify: router digest-transparent over {digest['requests']} "
-      f"requests, 1->3 backend speedup {scaling['speedup']:.2f}x (smoke)")
-EOF
-
-echo "== smoke bench: sweep (writes BENCH_sweep.json) =="
+echo "== smoke bench: sweep (writes $smoke/BENCH_sweep.json) =="
 HEMS_BENCH_SMOKE=1 cargo bench -q -p hems-bench --bench sweep
 # The batch engine must never lose to the exact serial reference it
 # replaces — at any scenario count, on any host. The bench records the
 # paired serial/batch speedup per scaling point; a value below 1.0 means
 # the lockstep engine regressed.
-python3 - <<'EOF'
-import json
-report = json.load(open("BENCH_sweep.json"))
+python3 - "$smoke/BENCH_sweep.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
 points = report["scaling"]
 assert points, "BENCH_sweep.json has no scaling points"
 for point in points:
@@ -136,21 +122,19 @@ assert report["engine"]["batch_speedup"] >= 1.0, "headline batch speedup < 1.0"
 print(f"verify: batch speedup >= 1.0 at all {len(points)} scaling points")
 EOF
 
-echo "== smoke bench: serve (writes BENCH_serve.json) =="
-HEMS_BENCH_SMOKE=1 cargo bench -q -p hems-serve --bench serve
-
 echo "== obs: overhead + metrics smoke =="
 # Telemetry smoke (DESIGN.md §12): the overhead bench runs one pass of
 # the sweep with telemetry enabled and disabled (the <= 2% assertion only
-# fires in full, non-smoke runs) and writes BENCH_obs.json; the example
-# stands up a loopback server, drives a mixed workload, and asserts the
-# `metrics` query returns sweep/pool/cache/admission series.
+# fires in full, non-smoke runs) and writes $smoke/BENCH_obs.json; the
+# example stands up a loopback server, drives a mixed workload, and
+# asserts the `metrics` query returns sweep/pool/cache/admission series.
 HEMS_BENCH_SMOKE=1 cargo bench -q -p hems-bench --bench obs
 cargo run --release -q --example metrics_query > /dev/null
 
-# The serve and obs benches self-validate their reports before exiting;
-# double-check the files landed where the docs say.
-for report in BENCH_sweep.json BENCH_serve.json BENCH_chaos.json BENCH_obs.json BENCH_fleet.json BENCH_conformance.json BENCH_load.json; do
+# The obs bench self-validates its report before exiting; double-check
+# the files landed where the docs say.
+for report in "$smoke/BENCH_sweep.json" "$out/BENCH_chaos.json" "$smoke/BENCH_obs.json" \
+    "$out/BENCH_fleet.json" "$out/BENCH_conformance.json"; do
     [ -s "$report" ] || { echo "verify: missing $report" >&2; exit 1; }
 done
 
