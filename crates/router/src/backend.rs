@@ -11,13 +11,16 @@
 //! silent cache-affinity loss into an ejection.
 //!
 //! Any IO error drops the connection on the floor rather than returning
-//! it to the pool; the next request dials fresh. Forwarding itself is
+//! it to the pool; the next request dials fresh. So does an
+//! `overloaded: shutting down` reply: the backend is draining, takes no
+//! new work on any connection, and its pool is emptied. Forwarding itself is
 //! one attempt — the retry/backoff/re-route loop lives in
 //! [`crate::server`] where it can consult the ring and the health
 //! machine between attempts.
 
 use crate::health::Health;
 use crate::sync::relock;
+use hems_serve::proto::SHUTTING_DOWN;
 use hems_serve::wire::{read_line_bounded, send_line};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream};
@@ -120,13 +123,22 @@ impl Backend {
     ///
     /// # Errors
     ///
-    /// Dial, handshake, write, deadline, or EOF errors from the attempt.
+    /// Dial, handshake, write, deadline, or EOF errors from the attempt,
+    /// and `ConnectionAborted` when the backend answered that it is
+    /// shutting down.
     pub fn forward(&self, line: &str, dial: &DialConfig) -> io::Result<String> {
         let mut conn = match relock(&self.idle).pop() {
             Some(conn) => conn,
             None => self.connect(dial)?,
         };
         let response = round_trip(&mut conn, line, dial.max_line_bytes)?;
+        if is_shutting_down(&response) {
+            self.clear_pool();
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionAborted,
+                "backend is shutting down",
+            ));
+        }
         let mut idle = relock(&self.idle);
         if idle.len() < POOL_CAP {
             idle.push(conn);
@@ -159,6 +171,21 @@ impl Backend {
     pub fn clear_pool(&self) {
         relock(&self.idle).clear();
     }
+}
+
+/// `true` for a draining backend's `overloaded: shutting down` reply. Only
+/// a line whose text holds the overloaded status is parsed, so hits pass
+/// unparsed; the parse reads the top-level fields, so a client-chosen
+/// `id` cannot fake the status.
+fn is_shutting_down(response: &str) -> bool {
+    if !response.contains("\"status\":\"overloaded\"") {
+        return false;
+    }
+    let Ok(parsed) = hems_obs::json::parse(response) else {
+        return false;
+    };
+    let field = |name: &str| parsed.get(name).and_then(|v| v.as_str());
+    field("status") == Some("overloaded") && field("error") == Some(SHUTTING_DOWN)
 }
 
 /// Writes one line and reads one line on a pooled connection.
@@ -226,6 +253,27 @@ mod tests {
             .expect("second");
         assert!(b.contains("\"id\":2"));
         assert_eq!(backend.forwarded.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn only_a_top_level_shutting_down_reply_marks_a_draining_backend() {
+        use hems_obs::json::Value;
+        use hems_serve::proto::{ok_response, overloaded_response};
+        let id = Value::Num(1.0);
+        assert!(is_shutting_down(&overloaded_response(&id, SHUTTING_DOWN)));
+        assert!(!is_shutting_down(&overloaded_response(
+            &id,
+            "queue full, back off and retry"
+        )));
+        let faked = Value::obj(vec![
+            ("status", Value::str("overloaded")),
+            ("error", Value::str(SHUTTING_DOWN)),
+        ]);
+        assert!(!is_shutting_down(&overloaded_response(
+            &faked,
+            "queue full"
+        )));
+        assert!(!is_shutting_down(&ok_response(&faked, false, Value::Null)));
     }
 
     #[test]

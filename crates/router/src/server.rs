@@ -4,26 +4,35 @@
 //! ## Thread anatomy
 //!
 //! ```text
-//! acceptor ──► forwarder (one per client connection)
-//!                │  parse → stats/metrics/reconfig/shutdown inline
+//! acceptor (blocking accept) ──► forwarder (one per client connection)
+//!                │  parse once → stats/metrics/reconfig/shutdown inline
 //!                │  plan query → canonical key → ring → shard slot
 //!                │     admission full → overloaded (explicit)
 //!                │     forward verbatim ──► backend pool ──► relay verbatim
 //!                │     IO failure → health, backoff, re-route, retry
+//!                │     backend shutting down → health, skip shard, retry
 //!                ▼
 //!              client ◄── response line (byte-identical to direct serve)
 //! prober  ──► per-shard stats round trip every jittered interval
 //!                │  drives eject / half-open / rejoin (health machine)
 //! ```
 //!
+//! The acceptor blocks in `accept` ([`hems_serve::accept::AcceptGate`]);
+//! shutdown wakes it with one loopback connect to the router's own port,
+//! after which it drops that connection and returns, closing the
+//! listener.
+//!
 //! ## Verbatim relay
 //!
-//! The router parses a plan query only far enough to compute its
-//! canonical cache key; what goes to the backend is the client's
-//! original line, and what goes back is the backend's original line.
-//! Router-synthesized responses exist only where the router *is* the
-//! authority: admission refusals (`overloaded`), exhausted retries
-//! (retryable `error`), aggregated `stats`/`metrics`, and `reconfig`.
+//! The router parses each request line once, into the tree both verb
+//! dispatch and the plan query's canonical cache key are read from;
+//! what goes to the backend is the client's original line, and what
+//! goes back is the backend's original line. Router-synthesized
+//! responses exist only where the router *is* the authority: admission
+//! refusals (`overloaded`), exhausted retries (retryable `error`),
+//! aggregated `stats`/`metrics`, and `reconfig`. A backend's
+//! `overloaded: shutting down` reply is not relayed: that backend is
+//! draining, so the attempt counts as failed and the request re-routes.
 //!
 //! ## Determinism
 //!
@@ -40,6 +49,7 @@ use crate::sync::relock;
 use hems_obs::clock::monotonic_ns;
 use hems_obs::json::{self, Value};
 use hems_obs::snapshot::Snapshot;
+use hems_serve::accept::{self, AcceptGate};
 use hems_serve::client::backoff;
 use hems_serve::proto::{
     error_response, ok_response, overloaded_response, retryable_error_response, QueryKind, Request,
@@ -49,7 +59,7 @@ use hems_serve::wire::{is_timeout, read_line_bounded, send_line, MAX_LINE_BYTES}
 use hems_units::XorShiftRng;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -126,7 +136,7 @@ struct Shared {
     ring: HashRing,
     slots: Vec<Backend>,
     stats: RouterStats,
-    accepting: AtomicBool,
+    gate: AcceptGate,
     /// Flipped (and broadcast) when shutdown begins; the prober sleeps
     /// on it so shutdown is prompt.
     stop_cv: (Mutex<bool>, Condvar),
@@ -149,7 +159,7 @@ impl Shared {
     }
 
     fn begin_shutdown(&self) {
-        self.accepting.store(false, Ordering::SeqCst);
+        self.gate.close();
         let (lock, cv) = &self.stop_cv;
         *relock(lock) = true;
         cv.notify_all();
@@ -347,6 +357,7 @@ impl RouterHandle {
             let _ = p.join();
         }
         if let Some(a) = self.acceptor.take() {
+            accept::await_exit(&a, &self.shared.gate);
             let _ = a.join();
         }
     }
@@ -373,12 +384,11 @@ pub fn route<A: ToSocketAddrs>(addr: A, config: RouterConfig) -> io::Result<Rout
     }
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let shared = Arc::new(Shared {
         ring: HashRing::new(config.backends.len()),
         slots: config.backends.iter().map(|&a| Backend::new(a)).collect(),
         stats: RouterStats::new(),
-        accepting: AtomicBool::new(true),
+        gate: AcceptGate::new(addr),
         stop_cv: (Mutex::new(false), Condvar::new()),
         conn_seq: AtomicU64::new(0),
         config,
@@ -388,7 +398,7 @@ pub fn route<A: ToSocketAddrs>(addr: A, config: RouterConfig) -> io::Result<Rout
         let shared = Arc::clone(&shared);
         thread::Builder::new()
             .name("hems-router-accept".to_string())
-            .spawn(move || accept_loop(&listener, &shared))?
+            .spawn(move || accept_loop(listener, &shared))?
     };
     let prober = {
         let shared = Arc::clone(&shared);
@@ -400,6 +410,7 @@ pub fn route<A: ToSocketAddrs>(addr: A, config: RouterConfig) -> io::Result<Rout
         Ok(handle) => handle,
         Err(e) => {
             shared.begin_shutdown();
+            accept::await_exit(&acceptor, &shared.gate);
             let _ = acceptor.join();
             return Err(e);
         }
@@ -412,34 +423,16 @@ pub fn route<A: ToSocketAddrs>(addr: A, config: RouterConfig) -> io::Result<Rout
     })
 }
 
-/// Shortest accept-loop poll/backoff step.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Cap for the accept-error backoff.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut error_backoff = ACCEPT_POLL;
-    while shared.accepting.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                error_backoff = ACCEPT_POLL;
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(shared.config.read_timeout);
-                let _ = stream.set_write_timeout(shared.config.write_timeout);
-                let shared = Arc::clone(shared);
-                let _ = thread::Builder::new()
-                    .name("hems-router-conn".to_string())
-                    .spawn(move || connection_loop(stream, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                thread::sleep(error_backoff);
-                error_backoff = (error_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            }
-        }
-    }
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
+    shared.gate.run(listener, |stream| {
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(shared.config.read_timeout);
+        let _ = stream.set_write_timeout(shared.config.write_timeout);
+        let shared = Arc::clone(shared);
+        let _ = thread::Builder::new()
+            .name("hems-router-conn".to_string())
+            .spawn(move || connection_loop(stream, &shared));
+    });
 }
 
 fn probe_loop(shared: &Arc<Shared>) {
@@ -528,33 +521,32 @@ enum Dispatch {
 }
 
 fn dispatch(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> Dispatch {
-    // Router-level verbs are recognized before protocol parsing so the
-    // router, not a backend, answers them.
-    let parsed = json::parse(line).ok();
-    let id = parsed
-        .as_ref()
-        .and_then(|v| v.get("id"))
-        .cloned()
-        .unwrap_or(Value::Null);
-    let verb = parsed
-        .as_ref()
-        .and_then(|v| v.get("query"))
-        .and_then(Value::as_str)
-        .unwrap_or("");
-    match verb {
-        "stats" => Dispatch::Reply(ok_response(&id, false, shared.stats_value())),
+    // One parse serves both the router-level verbs (answered here, not
+    // by a backend) and the plan query's protocol decode. A malformed
+    // line gets the same error text a backend's `Request::parse_line`
+    // would give it.
+    let parsed = match json::parse(line) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            shared.stats.errors.inc();
+            return Dispatch::Reply(error_response(&Value::Null, &e.to_string()));
+        }
+    };
+    let id = || parsed.get("id").cloned().unwrap_or(Value::Null);
+    match parsed.get("query").and_then(Value::as_str).unwrap_or("") {
+        "stats" => Dispatch::Reply(ok_response(&id(), false, shared.stats_value())),
         "metrics" => Dispatch::Reply(ok_response(
-            &id,
+            &id(),
             false,
             shared.metrics_snapshot().to_value(),
         )),
         "shutdown" => Dispatch::Shutdown(ok_response(
-            &id,
+            &id(),
             false,
             Value::obj(vec![("draining", Value::Bool(true))]),
         )),
-        "reconfig" => Dispatch::Reply(reconfig(shared, &id, parsed.as_ref())),
-        _ => Dispatch::Reply(forward_plan(shared, line, rng)),
+        "reconfig" => Dispatch::Reply(reconfig(shared, &id(), &parsed)),
+        _ => Dispatch::Reply(forward_plan(shared, line, &parsed, rng)),
     }
 }
 
@@ -562,10 +554,10 @@ fn dispatch(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> Dispatch
 /// blocking; in-flight requests finish on their connections) or back in
 /// rotation, and reports each touched shard's remaining in-flight count
 /// so an operator can poll for quiescence.
-fn reconfig(shared: &Arc<Shared>, id: &Value, parsed: Option<&Value>) -> String {
+fn reconfig(shared: &Arc<Shared>, id: &Value, parsed: &Value) -> String {
     let shard_list = |key: &str| -> Vec<usize> {
         parsed
-            .and_then(|v| v.get(key))
+            .get(key)
             .and_then(Value::as_arr)
             .map(|items| {
                 items
@@ -606,10 +598,10 @@ fn reconfig(shared: &Arc<Shared>, id: &Value, parsed: Option<&Value>) -> String 
     ok_response(id, false, Value::obj(vec![("shards", Value::Arr(touched))]))
 }
 
-fn forward_plan(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> String {
-    // Full protocol parse: identical parser, identical error text — a
-    // malformed line gets the same answer it would get from a backend.
-    let request = match Request::parse_line(line) {
+fn forward_plan(shared: &Arc<Shared>, line: &str, parsed: &Value, rng: &mut XorShiftRng) -> String {
+    // Full protocol decode: identical decoder, identical error text — an
+    // invalid request gets the same answer it would get from a backend.
+    let request = match Request::from_value(parsed) {
         Ok(request) => request,
         Err((id, message)) => {
             shared.stats.errors.inc();
@@ -624,13 +616,20 @@ fn forward_plan(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> Stri
         None => 0,
     };
     let mut last = String::from("no live backend shard");
+    // Shards that answered "shutting down" to this request: skipped by
+    // its remaining attempts, so it re-routes at once instead of waiting
+    // for health to eject them.
+    let mut shutting_down: Vec<u32> = Vec::new();
     for attempt in 1..=shared.config.max_attempts.max(1) {
         if attempt > 1 {
             shared.stats.retries.inc();
             let (base, max) = (shared.config.base_delay, shared.config.max_delay);
             thread::sleep(backoff(attempt, base, max, rng));
         }
-        let Some(shard) = shared.ring.route(key, |s| shared.available(s)) else {
+        let Some(shard) = shared
+            .ring
+            .route(key, |s| shared.available(s) && !shutting_down.contains(&s))
+        else {
             continue;
         };
         let Some(slot) = shared.slots.get(shard as usize) else {
@@ -660,6 +659,9 @@ fn forward_plan(shared: &Arc<Shared>, line: &str, rng: &mut XorShiftRng) -> Stri
             Err(e) => {
                 let transition = relock(&slot.health).on_traffic(false, &shared.config.health);
                 record_transition(shared, transition);
+                if e.kind() == io::ErrorKind::ConnectionAborted {
+                    shutting_down.push(shard);
+                }
                 last = format!("shard {shard}: {e}");
             }
         }

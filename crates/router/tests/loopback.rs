@@ -1,7 +1,8 @@
 //! Loopback integration suite for the routing front tier: byte-for-byte
 //! relay transparency, key affinity, drain-and-rejoin with zero dropped
-//! in-flight requests, health-probe ejection / half-open recovery, and
-//! per-shard metrics aggregation.
+//! in-flight requests, re-routing away from a draining backend,
+//! health-probe ejection / half-open recovery, per-shard metrics
+//! aggregation, and the blocking acceptor's prompt shutdown.
 
 use hems_fleet::plan::{AnalyticPlans, PlanSource, ServePlans};
 use hems_obs::json::Value;
@@ -89,6 +90,14 @@ fn router_relays_byte_identical_responses() {
     }
     // An unbuildable scenario: the error verdict must relay verbatim too.
     lines.push(plan_line(999, QueryKind::OptimalPoint, -5.0));
+    // Requests the router rejects itself must carry the backend's exact
+    // error text: bad JSON, a missing query, an unknown verb, a plan
+    // without a scenario, and a wrongly typed scenario field.
+    lines.push("{\"id\":1,\"query\":".to_string());
+    lines.push("{\"id\":2}".to_string());
+    lines.push("{\"id\":3,\"query\":\"nope\"}".to_string());
+    lines.push("{\"id\":4,\"query\":\"mep\"}".to_string());
+    lines.push("{\"id\":5,\"query\":\"mep\",\"scenario\":{\"irradiance\":\"high\"}}".to_string());
     for pass in 0..2 {
         for line in &lines {
             let a = to_direct.exchange(line);
@@ -192,6 +201,93 @@ fn drain_and_rejoin_drops_no_inflight_requests() {
         "no router-synthesized errors: {}",
         stats.render()
     );
+}
+
+#[test]
+fn a_draining_backends_reply_reroutes_to_a_live_shard() {
+    let (b0, b1) = (backend(0), backend(1));
+    let router = router_over(&[&b0, &b1]);
+    let homed_on_1: Vec<ScenarioSpec> = (0..64)
+        .map(|i| ScenarioSpec::baseline(0.3 + 0.01 * i as f64))
+        .filter(|spec| {
+            let key = plan_key(QueryKind::OptimalPoint, spec).expect("key");
+            router.ring().home(key) == Some(1)
+        })
+        .take(2)
+        .collect();
+    assert_eq!(homed_on_1.len(), 2, "two keys homed on shard 1");
+    let mut client = RawClient::connect(router.addr());
+    // Warm: leaves a pooled router connection to shard 1.
+    let warm = client.exchange(&Request::render_line(
+        1,
+        QueryKind::OptimalPoint,
+        Some(&homed_on_1[0]),
+    ));
+    assert!(warm.contains("\"status\":\"ok\""), "{warm}");
+    // Shard 1 drains: its open connections still answer, but refuse new
+    // plan work with `overloaded: shutting down`. A miss homed on it must
+    // re-route to shard 0 instead of relaying that refusal.
+    b1.begin_drain();
+    let miss = client.exchange(&Request::render_line(
+        2,
+        QueryKind::OptimalPoint,
+        Some(&homed_on_1[1]),
+    ));
+    let parsed = hems_obs::json::parse(&miss).expect("response json");
+    assert_eq!(
+        parsed.get("status").and_then(Value::as_str),
+        Some("ok"),
+        "{miss}"
+    );
+    let direct = RawClient::connect(b0.addr()).exchange(&Request::render_line(
+        2,
+        QueryKind::OptimalPoint,
+        Some(&homed_on_1[1]),
+    ));
+    assert!(
+        direct.contains("\"cached\":true"),
+        "shard 0 answered it: {direct}"
+    );
+}
+
+#[test]
+fn an_idle_router_shuts_down_within_a_second() {
+    let b0 = backend(0);
+    let mut router = router_over(&[&b0]);
+    let started = Instant::now();
+    router.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(1));
+}
+
+#[test]
+fn router_wire_shutdown_unblocks_wait() {
+    let b0 = backend(0);
+    let mut router = router_over(&[&b0]);
+    let bye = RawClient::connect(router.addr()).exchange("{\"id\":1,\"query\":\"shutdown\"}");
+    assert!(bye.contains("\"draining\":true"), "{bye}");
+    router.wait(); // must return, not hang
+    assert!(
+        TcpStream::connect(router.addr()).is_err(),
+        "listener closed"
+    );
+}
+
+#[test]
+fn fresh_connections_through_the_router_are_answered_without_an_accept_poll() {
+    // A polled acceptor (a 5 ms sleep between empty accepts) needs
+    // >= 1 s for these 200 round trips; a blocking accept needs well
+    // under 100 ms even in a debug build.
+    let b0 = backend(0);
+    let router = router_over(&[&b0]);
+    let line = plan_line(1, QueryKind::OptimalPoint, 0.7);
+    RawClient::connect(router.addr()).exchange(&line);
+    let started = Instant::now();
+    for _ in 0..200 {
+        let hit = RawClient::connect(router.addr()).exchange(&line);
+        assert!(hit.contains("\"cached\":true"), "{hit}");
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(500), "{elapsed:?}");
 }
 
 fn wait_for_state(router: &RouterHandle, shard: usize, state: &str, within: Duration) -> bool {

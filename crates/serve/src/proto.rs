@@ -331,6 +331,16 @@ impl Request {
     /// response) on malformed JSON or a semantically invalid request.
     pub fn parse_line(line: &str) -> Result<Request, (Value, String)> {
         let value = parse(line).map_err(|e| (Value::Null, e.to_string()))?;
+        Request::from_value(&value)
+    }
+
+    /// Decodes an already-parsed request line — the router parses each
+    /// line once and hands the tree here.
+    ///
+    /// # Errors
+    ///
+    /// As [`Request::parse_line`], for a semantically invalid request.
+    pub fn from_value(value: &Value) -> Result<Request, (Value, String)> {
         let id = value.get("id").cloned().unwrap_or(Value::Null);
         let kind_name = value
             .get("query")
@@ -447,6 +457,10 @@ pub fn retryable_error_response(id: &Value, message: &str) -> String {
     ])
     .render()
 }
+
+/// The `overloaded` reason a draining server gives for new plan work. The
+/// router treats a reply carrying it as a failed attempt and re-routes.
+pub const SHUTTING_DOWN: &str = "shutting down";
 
 /// Renders an `overloaded` (admission-refused) response line.
 pub fn overloaded_response(id: &Value, reason: &str) -> String {

@@ -3,7 +3,7 @@
 //! ## Thread anatomy
 //!
 //! ```text
-//! acceptor ──► reader (one per connection)
+//! acceptor (blocking accept) ──► reader (one per connection)
 //!                │  parse → stats/shutdown inline
 //!                │  cache hit → respond inline (cached: true)
 //!                │  cache miss → bounded queue ──► batcher ──► worker pool
@@ -29,18 +29,30 @@
 //! [`WorkerPool`]. Results are rendered once, inserted into the cache, and
 //! written to every waiter of that key.
 //!
+//! ## Accepting
+//!
+//! The acceptor blocks in `accept` ([`crate::accept::AcceptGate`]), so a
+//! fresh connection reaches its reader thread as soon as the handshake
+//! completes. Shutdown wakes the acceptor with one loopback connect to
+//! the server's own port; the acceptor re-checks the accepting flag after
+//! every `accept`, drops that connection, and returns, closing the
+//! listener.
+//!
 //! ## Shutdown
 //!
 //! A `shutdown` query (or [`ServerHandle::shutdown`]) flips the accepting
-//! flag, wakes the batcher, and *drains*: every request already accepted
-//! into the queue is answered before the batcher exits and the pool joins.
-//! Requests arriving after the flag see `overloaded` with a "shutting
-//! down" reason.
+//! flag, wakes the acceptor and the batcher, and *drains*: every request
+//! already accepted into the queue is answered before the batcher exits
+//! and the pool joins. New connections are refused once the acceptor has
+//! returned; requests arriving on open connections after the flag see
+//! `overloaded` with a "shutting down" reason.
 
+use crate::accept::{self, AcceptGate};
 use crate::cache::PlanCache;
 use crate::planner::{self, PlanJob};
 use crate::proto::{
     error_response, ok_response, overloaded_response, retryable_error_response, QueryKind, Request,
+    SHUTTING_DOWN,
 };
 use crate::stats::ServeStats;
 use crate::sync::relock;
@@ -50,7 +62,7 @@ use hems_sim::WorkerPool;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -121,8 +133,8 @@ struct Shared {
     stats: ServeStats,
     queue: Mutex<VecDeque<Pending>>,
     queue_ready: Condvar,
-    /// Cleared on shutdown: new work is refused.
-    accepting: AtomicBool,
+    /// Closed on shutdown: new connections and new work are refused.
+    gate: AcceptGate,
     /// Flipped (and broadcast) when the batcher has drained and exited.
     drained_cv: (Mutex<bool>, Condvar),
     pool: WorkerPool,
@@ -152,8 +164,11 @@ impl Shared {
     }
 
     fn begin_shutdown(&self) {
-        self.accepting.store(false, Ordering::SeqCst);
+        self.gate.close();
         // Wake the batcher even if the queue is empty so it can exit.
+        // Taking the queue lock first orders the flag flip before the
+        // batcher's next check-then-wait, so the notify cannot be lost.
+        drop(relock(&self.queue));
         self.queue_ready.notify_all();
     }
 }
@@ -179,13 +194,18 @@ impl ServerHandle {
     }
 
     /// Initiates graceful shutdown *without* joining: stops accepting,
-    /// wakes the batcher to drain, and returns immediately. This is the
+    /// wakes the batcher to drain, and returns once the listener is
+    /// closed, so a new connect is refused from then on. This is the
     /// drain hook a supervisor (the router's drain-and-rejoin protocol,
     /// the chaos crash/restart surface) uses to take a backend out of
-    /// rotation while its in-flight batches still complete; follow with
+    /// rotation while its in-flight batches still complete and its open
+    /// connections still get answers; follow with
     /// [`ServerHandle::wait`] or [`ServerHandle::shutdown`] to join.
     pub fn begin_drain(&self) {
         self.shared.begin_shutdown();
+        if let Some(acceptor) = &self.acceptor {
+            accept::await_exit(acceptor, &self.shared.gate);
+        }
     }
 
     /// Initiates graceful shutdown and blocks until in-flight work drains.
@@ -214,6 +234,7 @@ impl ServerHandle {
             let _ = b.join();
         }
         if let Some(a) = self.acceptor.take() {
+            accept::await_exit(&a, &self.shared.gate);
             let _ = a.join();
         }
     }
@@ -234,7 +255,6 @@ impl Drop for ServerHandle {
 pub fn serve<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let pool = WorkerPool::with_default_threads(config.threads);
     let stats = ServeStats::new();
     let shared = Arc::new(Shared {
@@ -242,7 +262,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<Serve
         stats,
         queue: Mutex::new(VecDeque::new()),
         queue_ready: Condvar::new(),
-        accepting: AtomicBool::new(true),
+        gate: AcceptGate::new(addr),
         drained_cv: (Mutex::new(false), Condvar::new()),
         pool,
         jobs_dispatched: AtomicU64::new(0),
@@ -253,7 +273,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<Serve
         let shared = Arc::clone(&shared);
         thread::Builder::new()
             .name("hems-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &shared))?
+            .spawn(move || accept_loop(listener, &shared))?
     };
     let batcher = {
         let shared = Arc::clone(&shared);
@@ -267,6 +287,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<Serve
             // Without a batcher the server would accept and never answer;
             // unwind the acceptor before reporting the failure.
             shared.begin_shutdown();
+            accept::await_exit(&acceptor, &shared.gate);
             let _ = acceptor.join();
             return Err(e);
         }
@@ -280,46 +301,23 @@ pub fn serve<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<Serve
     })
 }
 
-/// Shortest accept-loop poll/backoff step.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Cap for the accept-error backoff.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(500);
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     // Reader threads detach; they exit when their connection closes or
-    // shutdown refuses further work. Nonblocking accept lets the acceptor
-    // poll the shutdown flag without a self-connect trick.
-    let mut error_backoff = ACCEPT_POLL;
-    while shared.accepting.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                error_backoff = ACCEPT_POLL;
-                // One small response line per request: Nagle + delayed ACK
-                // would add ~40 ms to every round trip.
-                let _ = stream.set_nodelay(true);
-                // Deadlines are the slow-loris/half-open defence: a
-                // connection that cannot make a line's progress per
-                // deadline is reaped, not parked forever.
-                let _ = stream.set_read_timeout(shared.config.read_timeout);
-                let _ = stream.set_write_timeout(shared.config.write_timeout);
-                let shared = Arc::clone(shared);
-                let _ = thread::Builder::new()
-                    .name("hems-serve-conn".to_string())
-                    .spawn(move || connection_loop(stream, &shared));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // Idle poll: fixed short sleep keeps shutdown responsive.
-                thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                // Persistent accept errors (EMFILE, ENOBUFS, …) must not
-                // hot-loop at 200 Hz: back off exponentially to a cap, and
-                // reset on the next successful accept.
-                thread::sleep(error_backoff);
-                error_backoff = (error_backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            }
-        }
-    }
+    // shutdown refuses further work.
+    shared.gate.run(listener, |stream| {
+        // One small response line per request: Nagle + delayed ACK
+        // would add ~40 ms to every round trip.
+        let _ = stream.set_nodelay(true);
+        // Deadlines are the slow-loris/half-open defence: a connection
+        // that cannot make a line's progress per deadline is reaped, not
+        // parked forever.
+        let _ = stream.set_read_timeout(shared.config.read_timeout);
+        let _ = stream.set_write_timeout(shared.config.write_timeout);
+        let shared = Arc::clone(shared);
+        let _ = thread::Builder::new()
+            .name("hems-serve-conn".to_string())
+            .spawn(move || connection_loop(stream, &shared));
+    });
 }
 
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
@@ -427,8 +425,8 @@ fn handle_plan_query(
     // race an enqueue past the drain.
     let refused = {
         let mut queue = relock(&shared.queue);
-        if !shared.accepting.load(Ordering::SeqCst) {
-            Some("shutting down")
+        if !shared.gate.is_open() {
+            Some(SHUTTING_DOWN)
         } else if queue.len() >= shared.config.max_queue {
             Some("queue full, back off and retry")
         } else {
@@ -479,7 +477,7 @@ fn batch_loop(shared: &Arc<Shared>) {
                     let n = queue.len().min(shared.config.max_batch);
                     break queue.drain(..n).collect();
                 }
-                if !shared.accepting.load(Ordering::SeqCst) {
+                if !shared.gate.is_open() {
                     // Queue empty and no new work can arrive: drained.
                     drop(queue);
                     let (lock, cv) = &shared.drained_cv;
@@ -794,5 +792,71 @@ mod tests {
         let bye = query_line(&mut stream, r#"{"id":1,"query":"shutdown"}"#);
         assert_eq!(bye.get("status").and_then(Value::as_str), Some("ok"));
         handle.wait(); // must return, not hang
+    }
+
+    #[test]
+    fn an_idle_server_shuts_down_within_a_second() {
+        let mut handle = serve("127.0.0.1:0", small_config()).unwrap();
+        let started = std::time::Instant::now();
+        handle.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn a_server_bound_to_the_unspecified_address_shuts_down() {
+        let mut handle = serve("0.0.0.0:0", small_config()).unwrap();
+        let started = std::time::Instant::now();
+        handle.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn begin_drain_refuses_new_connections_and_keeps_open_ones_answering() {
+        let mut handle = serve("127.0.0.1:0", small_config()).unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let line = Request::render_line(1, QueryKind::Mep, Some(&ScenarioSpec::baseline(0.5)));
+        let warm = query_line(&mut stream, &line);
+        assert_eq!(warm.get("status").and_then(Value::as_str), Some("ok"));
+        handle.begin_drain();
+        assert!(
+            TcpStream::connect(handle.addr()).is_err(),
+            "the listener is closed once begin_drain returns"
+        );
+        let hit = query_line(&mut stream, &line);
+        assert_eq!(hit.get("status").and_then(Value::as_str), Some("ok"));
+        assert_eq!(hit.get("cached").and_then(Value::as_bool), Some(true));
+        // New work on the open connection is refused, not queued.
+        let miss = query_line(
+            &mut stream,
+            &Request::render_line(2, QueryKind::Mep, Some(&ScenarioSpec::baseline(0.6))),
+        );
+        assert_eq!(
+            miss.get("status").and_then(Value::as_str),
+            Some("overloaded")
+        );
+        assert_eq!(
+            miss.get("error").and_then(Value::as_str),
+            Some(SHUTTING_DOWN)
+        );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn fresh_connections_are_answered_without_an_accept_poll() {
+        // A polled acceptor (a 5 ms sleep between empty accepts) needs
+        // >= 1 s for these 200 round trips; a blocking accept needs a few
+        // tens of ms even in a debug build.
+        let mut handle = serve("127.0.0.1:0", small_config()).unwrap();
+        let line = Request::render_line(1, QueryKind::Mep, Some(&ScenarioSpec::baseline(0.5)));
+        query_line(&mut TcpStream::connect(handle.addr()).unwrap(), &line);
+        let started = std::time::Instant::now();
+        for _ in 0..200 {
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            let hit = query_line(&mut stream, &line);
+            assert_eq!(hit.get("cached").and_then(Value::as_bool), Some(true));
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_millis(500), "{elapsed:?}");
+        handle.shutdown();
     }
 }
