@@ -380,7 +380,7 @@ fn commit_stream_fixture() -> Result<Fixture, ConformanceError> {
                 node.rollback(&schedule);
             }
             if delta > 0.0 {
-                let mut observe = |pos: u64| positions.push(pos);
+                let mut observe = |first: u64, count: u64| positions.extend(first..first + count);
                 node.execute(&schedule, delta, Some(&mut observe));
             }
         }

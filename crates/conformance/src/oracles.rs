@@ -1143,7 +1143,7 @@ fn fleet_runtime(input: &CaseInput) -> Option<Divergence> {
         }
         last_brownouts = brownouts;
         if delta > 0.0 {
-            let mut observe = |pos: u64| positions.push(pos);
+            let mut observe = |first: u64, count: u64| positions.extend(first..first + count);
             node.execute(&schedule, delta, Some(&mut observe));
         }
     }

@@ -479,9 +479,10 @@ impl Fleet {
     /// Advances the sampled nodes to `t` and sums their committed
     /// positions and rollbacks — the storm checks' liveness probe.
     fn sampled_activity(&mut self, t: f64) -> (u64, u64) {
-        let ids: Vec<u32> = self.sampled_ids.clone();
-        for id in ids {
-            self.advance(id, t);
+        for k in 0..self.sampled_ids.len() {
+            if let Some(&id) = self.sampled_ids.get(k) {
+                self.advance(id, t);
+            }
         }
         self.sampled_ids
             .iter()
@@ -664,7 +665,7 @@ fn advance_node(
                             let budget = p.frequency_hz * t_burst;
                             match digest.as_deref_mut() {
                                 Some(d) => {
-                                    let mut cb = |pos: u64| d.push(pos);
+                                    let mut cb = |first, count| d.push_run(first, count);
                                     node.execute_burst_cycles(schedule, budget, k, Some(&mut cb));
                                 }
                                 None => node.execute_burst_cycles(schedule, budget, k, None),
@@ -707,7 +708,7 @@ fn advance_node(
                 let budget = p.frequency_hz * run_for;
                 match digest.as_deref_mut() {
                     Some(d) => {
-                        let mut cb = |pos: u64| d.push(pos);
+                        let mut cb = |first, count| d.push_run(first, count);
                         node.execute(schedule, budget, Some(&mut cb));
                     }
                     None => node.execute(schedule, budget, None),

@@ -8,8 +8,9 @@
 //! the summary — every byte a function of `(seed, config)`), then writes
 //! wall-clock figures to `--out` (default `BENCH_fleet.json`): node
 //! steps/sec, events/sec, simulated node-seconds per wall second, bytes
-//! per node, peak RSS, and a scaling sweep at 1k/10k/100k nodes. Exits
-//! nonzero if any run saw a crash-consistency violation or an
+//! per node, peak RSS, and a scaling sweep at 1k/10k/100k nodes, under
+//! the run's provenance (`mode` smoke or full, `host.nproc`, git `rev`).
+//! Exits nonzero if any run saw a crash-consistency violation or an
 //! unrecovered storm — the CI contract `scripts/verify.sh` gates on.
 //!
 //! Planning is serve-backed by default: a loopback `hems-serve` instance
@@ -139,6 +140,26 @@ fn scaling_entry(run: &TimedRun) -> Value {
     ])
 }
 
+/// Hardware threads on this host (0 if unknown): speedups compare
+/// reports from the same host.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
+}
+
+/// The checked-out git revision (`git rev-parse HEAD`), or `"unknown"`
+/// outside a git checkout.
+fn revision() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn run(args: &Args) -> Result<u64, FleetError> {
     // The plan source: a loopback serve instance unless --analytic.
     let mut server = None;
@@ -199,7 +220,15 @@ fn run(args: &Args) -> Result<u64, FleetError> {
         ("bench", Value::str("fleet")),
         ("seed", Value::Num(args.seed as f64)),
         ("source", Value::str(source.name())),
-        ("smoke", Value::Bool(args.smoke)),
+        (
+            "mode",
+            Value::str(if args.smoke { "smoke" } else { "full" }),
+        ),
+        (
+            "host",
+            Value::obj(vec![("nproc", Value::Num(nproc() as f64))]),
+        ),
+        ("rev", Value::str(revision())),
         ("nodes", Value::Num(headline.config.nodes as f64)),
         ("days", Value::Num(headline.config.days as f64)),
         (

@@ -307,12 +307,13 @@ impl NodeState {
     /// `IntermittentRuntime::execute` operation for operation. Whole
     /// periods are batched in O(1) when the node is at a clean period
     /// start; `observe`, when present, receives every committed absolute
-    /// position in commit order (batched positions included).
+    /// position in commit order as contiguous runs `(first, count)` —
+    /// one call per commit step or batch, not one per position.
     pub fn execute(
         &mut self,
         schedule: &Schedule,
         mut budget: f64,
-        mut observe: Option<&mut dyn FnMut(u64)>,
+        mut observe: Option<&mut dyn FnMut(u64, u64)>,
     ) {
         while budget > 0.0 {
             // Fast path: k whole periods at once whenever we sit at a
@@ -325,9 +326,7 @@ impl NodeState {
                 budget -= k * schedule.period_cycles;
                 let positions = k as u64 * schedule.chain_len;
                 if let Some(cb) = observe.as_deref_mut() {
-                    for pos in self.committed..self.committed + positions {
-                        cb(pos);
-                    }
+                    cb(self.committed, positions);
                 }
                 self.committed += positions;
                 self.useful += k * schedule.period_useful;
@@ -354,9 +353,7 @@ impl NodeState {
                 self.checkpoint += step.cycles;
                 self.useful += work_cycles;
                 if let Some(cb) = observe.as_deref_mut() {
-                    for pos in self.committed..self.committed + positions as u64 {
-                        cb(pos);
-                    }
+                    cb(self.committed, positions as u64);
                 }
                 self.committed += positions as u64;
             }
@@ -386,7 +383,7 @@ impl NodeState {
         schedule: &Schedule,
         budget: f64,
         count: u64,
-        mut observe: Option<&mut dyn FnMut(u64)>,
+        mut observe: Option<&mut dyn FnMut(u64, u64)>,
     ) {
         // After each burst + rollback the node's compute state collapses
         // to `step` alone (progress is cleared, the budget is fixed), so
@@ -406,9 +403,7 @@ impl NodeState {
                     let dc = self.committed - c0;
                     if laps > 0 && dc > 0 {
                         if let Some(cb) = observe.as_mut() {
-                            for pos in self.committed..self.committed + dc * laps {
-                                cb(pos);
-                            }
+                            cb(self.committed, dc * laps);
                         }
                     }
                     self.committed += dc * laps;
@@ -438,7 +433,9 @@ impl NodeState {
             }
             // Explicit reborrow: `as_deref_mut` would pin the trait
             // object's lifetime across loop iterations.
-            let reborrow = observe.as_mut().map(|cb| &mut **cb as &mut dyn FnMut(u64));
+            let reborrow = observe
+                .as_mut()
+                .map(|cb| &mut **cb as &mut dyn FnMut(u64, u64));
             self.execute(schedule, budget, reborrow);
             self.rollback(schedule);
             done += 1;
@@ -557,17 +554,44 @@ impl CommitDigest {
         }
     }
 
-    /// Feeds one committed absolute position.
-    pub fn push(&mut self, pos: u64) {
-        if pos == self.expect {
-            self.hasher.write_u64(self.iteration);
-            self.hasher.write_u64(self.task);
-            self.expect += 1;
-            self.task += 1;
-            if self.task == self.chain_len {
-                self.task = 0;
-                self.iteration += 1;
+    /// Feeds the committed absolute positions `first..first + count`, in
+    /// order. A run that continues the stream (`first` is the next
+    /// expected position) hashes in a tight loop over the incremental
+    /// `(iteration, task)` counters; any other run takes the exact
+    /// per-position path, so violations and the digest are the same as
+    /// feeding the positions one at a time.
+    pub fn push_run(&mut self, first: u64, count: u64) {
+        if first == self.expect {
+            self.extend(count);
+        } else {
+            for pos in first..first.saturating_add(count) {
+                self.push_one(pos);
             }
+        }
+    }
+
+    /// Hashes the next `count` expected positions.
+    fn extend(&mut self, count: u64) {
+        let (mut iteration, mut task) = (self.iteration, self.task);
+        for _ in 0..count {
+            self.hasher.write_u64(iteration);
+            self.hasher.write_u64(task);
+            task += 1;
+            if task == self.chain_len {
+                task = 0;
+                iteration += 1;
+            }
+        }
+        self.expect += count;
+        self.iteration = iteration;
+        self.task = task;
+    }
+
+    /// Feeds one committed absolute position; any position but the next
+    /// expected one marks the stream violated and is hashed as given.
+    fn push_one(&mut self, pos: u64) {
+        if pos == self.expect {
+            self.extend(1);
         } else {
             self.violated = true;
             self.hasher.write_u64(pos / self.chain_len);
@@ -582,16 +606,16 @@ impl CommitDigest {
 
     /// The digest over everything pushed so far.
     pub fn finish(&self) -> u64 {
-        self.hasher.clone().finish()
+        self.hasher.finish()
     }
 
     /// The digest a fault-free stream of exactly `committed` positions
-    /// would have — the reference the accumulated digest must equal.
+    /// would have — the reference the accumulated digest must equal. A
+    /// from-scratch recomputation, independent of how the campaign
+    /// split its commits into runs.
     pub fn expected(chain_len: u64, committed: u64) -> u64 {
         let mut d = CommitDigest::new(chain_len);
-        for pos in 0..committed {
-            d.push(pos);
-        }
+        d.push_run(0, committed);
         d.finish()
     }
 }
@@ -741,7 +765,7 @@ mod tests {
         let mut node = NodeState::new(0);
         let mut digest = CommitDigest::new(schedule.chain_len());
         let feed = |node: &mut NodeState, budget: f64, digest: &mut CommitDigest| {
-            let mut cb = |pos: u64| digest.push(pos);
+            let mut cb = |first: u64, count: u64| digest.push_run(first, count);
             node.execute(&schedule, budget, Some(&mut cb));
         };
         // A large batched call, a rollback mid-task, and dribbles.
@@ -778,13 +802,13 @@ mod tests {
             let mut explicit = NodeState::new(0);
             let mut digest_a = CommitDigest::new(schedule.chain_len());
             for _ in 0..count {
-                let mut cb = |pos: u64| digest_a.push(pos);
+                let mut cb = |first: u64, count: u64| digest_a.push_run(first, count);
                 explicit.execute(&schedule, budget, Some(&mut cb));
                 explicit.rollback(&schedule);
             }
             let mut batched = NodeState::new(0);
             let mut digest_b = CommitDigest::new(schedule.chain_len());
-            let mut cb = |pos: u64| digest_b.push(pos);
+            let mut cb = |first: u64, count: u64| digest_b.push_run(first, count);
             batched.execute_burst_cycles(&schedule, budget, count, Some(&mut cb));
             // Exact: positions, digests, step, rollbacks.
             assert_eq!(explicit.committed, batched.committed, "budget {budget}");
@@ -852,9 +876,7 @@ mod tests {
         // Same tag, same fields: a contiguous stream's digest must match
         // a hand-rolled KeyHasher loop.
         let mut d = CommitDigest::new(3);
-        for pos in 0..7u64 {
-            d.push(pos);
-        }
+        d.push_run(0, 7);
         let mut h = KeyHasher::new();
         h.write_tag("commit-stream");
         for pos in 0..7u64 {
@@ -864,8 +886,58 @@ mod tests {
         assert_eq!(d.finish(), h.finish());
         assert!(!d.violated());
         let mut bad = CommitDigest::new(3);
-        bad.push(0);
-        bad.push(2);
+        bad.push_run(0, 1);
+        bad.push_run(2, 1);
         assert!(bad.violated());
+    }
+
+    /// The per-position reference digest over the plain byte stream:
+    /// `(digest, violated)` after feeding `positions` one at a time.
+    fn reference_digest(chain_len: u64, positions: &[u64]) -> (u64, bool) {
+        let mut h = KeyHasher::new();
+        h.write_tag("commit-stream");
+        let (mut expect, mut violated) = (0u64, false);
+        for &pos in positions {
+            if pos == expect {
+                expect += 1;
+            } else {
+                violated = true;
+            }
+            h.write_bytes(&(pos / chain_len).to_le_bytes());
+            h.write_bytes(&(pos % chain_len).to_le_bytes());
+        }
+        (h.finish(), violated)
+    }
+
+    #[test]
+    fn push_run_equals_per_position_feeding() {
+        let cases: [&[(u64, u64)]; 8] = [
+            &[],                                 // nothing pushed
+            &[(0, 0), (0, 0)],                   // empty runs
+            &[(0, 1_000)],                       // one contiguous run
+            &[(0, 4), (4, 1), (5, 11), (16, 3)], // split runs
+            &[(0, 5), (7, 3), (5, 2), (10, 4)],  // gapped, then the gap
+            &[(0, 6), (3, 6), (9, 2)],           // repeated positions
+            &[(10, 3), (0, 4), (2, 1)],          // backwards
+            &[(0, 5), (3, 4), (7, 2)],           // a run that reaches `expect`
+        ];
+        for chain_len in [1u64, 3, 5] {
+            for runs in cases {
+                let mut d = CommitDigest::new(chain_len);
+                let mut positions = Vec::new();
+                for &(first, count) in runs {
+                    d.push_run(first, count);
+                    positions.extend(first..first + count);
+                }
+                let (digest, violated) = reference_digest(chain_len, &positions);
+                assert_eq!(d.finish(), digest, "chain {chain_len} runs {runs:?}");
+                assert_eq!(d.violated(), violated, "chain {chain_len} runs {runs:?}");
+            }
+        }
+        let all: Vec<u64> = (0..1_000).collect();
+        assert_eq!(
+            CommitDigest::expected(5, 1_000),
+            reference_digest(5, &all).0
+        );
     }
 }

@@ -162,7 +162,7 @@ fn node_state_machine_matches_intermittent_runtime_exactly() {
                 node.rollback(&schedule);
             }
             if delta > 0.0 {
-                let mut observe = |pos: u64| positions.push(pos);
+                let mut observe = |first: u64, count: u64| positions.extend(first..first + count);
                 node.execute(&schedule, delta, Some(&mut observe));
             }
         }

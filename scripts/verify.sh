@@ -72,6 +72,18 @@ echo "== fleet: smoke (writes $out/BENCH_fleet.json) =="
 # exits nonzero on any crash-consistency violation or unrecovered storm;
 # the report lines are byte-for-byte reproducible per seed.
 cargo run --release -q -p hems-fleet -- --smoke --out "$out/BENCH_fleet.json" > /dev/null
+# Shape check: the smoke report says it is one and carries its
+# provenance, so it can never pass for a committed full-run figure.
+python3 - "$out/BENCH_fleet.json" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["mode"] == "smoke", f"fleet report mode {report['mode']!r}, want 'smoke'"
+assert report["host"]["nproc"] >= 1, f"fleet report host.nproc {report['host']['nproc']}"
+assert isinstance(report["rev"], str) and report["rev"], "fleet report has no rev string"
+assert report["violations"] == 0, f"{report['violations']} crash-consistency violations"
+print(f"verify: fleet smoke report at rev {report['rev'][:12]}, "
+      f"nproc {report['host']['nproc']}, 0 violations")
+EOF
 
 echo "== conformance: goldens + fuzz (writes $out/BENCH_conformance.json) =="
 # The conformance gate (DESIGN.md §16): committed golden fixtures must
