@@ -23,7 +23,7 @@
 use crate::error::FleetError;
 use crate::node::{CommitDigest, NodeModel, NodeState};
 use crate::plan::{quantize_forecast, OperatingPoint, PlanSource};
-use crate::weather::WeatherField;
+use crate::weather::{SkyWindow, WeatherField};
 use crate::wheel::TimeWheel;
 use hems_core::cachekey::KeyHasher;
 use hems_intermittent::CheckpointPolicy;
@@ -162,6 +162,8 @@ pub struct Fleet {
     config: FleetConfig,
     model: NodeModel,
     weather: WeatherField,
+    /// Recent epochs' irradiance rows, sized in [`Fleet::run`].
+    sky: SkyWindow,
     nodes: Vec<NodeState>,
     /// Current operating point per region (`None` = idle).
     plans: Vec<Option<OperatingPoint>>,
@@ -218,6 +220,7 @@ impl Fleet {
             config,
             model,
             weather,
+            sky: SkyWindow::default(),
             nodes,
             plans: vec![None; regions as usize],
             sampled_ids,
@@ -242,7 +245,15 @@ impl Fleet {
             Ok(k) => self.digests.get_mut(k),
             Err(_) => None,
         };
-        self.node_steps += advance_node(node, &self.model, &self.weather, plan, to, digest);
+        self.node_steps += advance_node(
+            node,
+            &self.model,
+            &mut self.sky,
+            &self.weather,
+            plan,
+            to,
+            digest,
+        );
     }
 
     /// Runs the campaign against `source` and produces the report.
@@ -256,6 +267,10 @@ impl Fleet {
         let config = self.config;
         let horizon = config.days as u64 * DAY_S;
         let regions = self.weather.regions();
+        // No node lags the wheel's clock by more than `wake_s`, so its
+        // walk touches at most `wake_s / epoch_s + 2` distinct epochs.
+        // Allocated here, not in `new`: setup stays as cheap as it was.
+        self.sky = SkyWindow::new(regions, config.wake_s / config.epoch_s + 2);
 
         // Seed the wheel: staggered first wakes, dawn plan waves, storm
         // boundary checks, day rollovers.
@@ -405,24 +420,16 @@ impl Fleet {
         // Final crash-consistency verdict: every sampled node's
         // accumulated digest must equal the digest of the contiguous
         // stream `0..committed` recomputed from scratch.
-        let chain_len = self.model.schedule.chain_len();
+        let committed: Vec<u64> = self
+            .sampled_ids
+            .iter()
+            .map(|id| self.nodes.get(*id as usize).map_or(0, |n| n.committed))
+            .collect();
+        let violations =
+            CommitDigest::violations(self.model.schedule.chain_len(), &self.digests, &committed);
         let mut digest_mix = KeyHasher::new();
         digest_mix.write_tag("fleet-digest");
-        let mut violations = 0u64;
-        for (k, id) in self.sampled_ids.iter().enumerate() {
-            let Some(digest) = self.digests.get(k) else {
-                continue;
-            };
-            let committed = self
-                .nodes
-                .get(*id as usize)
-                .map(|n| n.committed)
-                .unwrap_or(0);
-            let ok = !digest.violated()
-                && digest.finish() == CommitDigest::expected(chain_len, committed);
-            if !ok {
-                violations += 1;
-            }
+        for digest in &self.digests {
             digest_mix.write_u64(digest.finish());
         }
 
@@ -626,6 +633,7 @@ struct Totals {
 fn advance_node(
     node: &mut NodeState,
     model: &NodeModel,
+    sky: &mut SkyWindow,
     weather: &WeatherField,
     plan: Option<OperatingPoint>,
     to: f64,
@@ -641,7 +649,7 @@ fn advance_node(
     while node.t + EPS < to {
         let epoch = (node.t / epoch_s) as u32;
         let seg_end = ((epoch as f64 + 1.0) * epoch_s).min(to);
-        let g = weather.irradiance(node.region, epoch);
+        let g = sky.irradiance(weather, node.region, epoch);
         let p_h = model.p_harvest_full * g;
         // Phases within the piecewise-constant segment.
         while node.t + EPS < seg_end {

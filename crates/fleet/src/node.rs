@@ -1,6 +1,6 @@
 //! Compact per-node state machines.
 //!
-//! A fleet node is ~88 bytes of state (compile-time asserted ≤ 200): a
+//! A fleet node is 80 bytes of state (compile-time asserted ≤ 200): a
 //! capacitor charge, a cursor into a shared execution [`Schedule`], and a
 //! handful of accumulators. Everything heavyweight — the task chain, the
 //! checkpoint policy, the NVM cost model, the weather field, the plan
@@ -239,7 +239,7 @@ pub struct NodeState {
 }
 
 // The headline memory contract: a node is a compact state machine, not a
-// simulation. 100k nodes ≈ 8.8 MB.
+// simulation. 100k nodes ≈ 8 MB.
 const _: () = assert!(std::mem::size_of::<NodeState>() <= 200);
 
 /// Accumulator snapshot at the first visit of a schedule step during
@@ -609,14 +609,37 @@ impl CommitDigest {
         self.hasher.finish()
     }
 
-    /// The digest a fault-free stream of exactly `committed` positions
-    /// would have — the reference the accumulated digest must equal. A
-    /// from-scratch recomputation, independent of how the campaign
-    /// split its commits into runs.
-    pub fn expected(chain_len: u64, committed: u64) -> u64 {
-        let mut d = CommitDigest::new(chain_len);
-        d.push_run(0, committed);
-        d.finish()
+    /// For each of `counts`, in order, the digest a fault-free stream of
+    /// exactly that many positions would have — the references the
+    /// accumulated digests must equal. One from-scratch walk of the
+    /// canonical stream up to the largest count, snapshotting the digest
+    /// at each count on the way: every fault-free stream is a prefix of
+    /// the same positions, so this equals a separate walk per count, and
+    /// it is independent of how the campaign split its commits into runs.
+    pub fn expected_prefixes(chain_len: u64, counts: &[u64]) -> Vec<u64> {
+        let mut order: Vec<(u64, usize)> = counts.iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        let mut prefixes = vec![0; counts.len()];
+        let mut walk = CommitDigest::new(chain_len);
+        for (count, i) in order {
+            walk.push_run(walk.expect, count - walk.expect);
+            if let Some(prefix) = prefixes.get_mut(i) {
+                *prefix = walk.finish();
+            }
+        }
+        prefixes
+    }
+
+    /// The campaign-end crash-consistency verdict: how many of `digests`
+    /// broke contiguity or differ from the fault-free digest of their
+    /// node's `committed` count (parallel slices).
+    pub fn violations(chain_len: u64, digests: &[CommitDigest], committed: &[u64]) -> u64 {
+        let expected = CommitDigest::expected_prefixes(chain_len, committed);
+        digests
+            .iter()
+            .zip(&expected)
+            .filter(|(digest, want)| digest.violated() || digest.finish() != **want)
+            .count() as u64
     }
 }
 
@@ -780,8 +803,8 @@ mod tests {
         }
         assert!(!digest.violated());
         assert_eq!(
-            digest.finish(),
-            CommitDigest::expected(schedule.chain_len(), node.committed)
+            CommitDigest::violations(schedule.chain_len(), &[digest], &[node.committed]),
+            0
         );
         assert!(node.committed > 30);
     }
@@ -936,8 +959,62 @@ mod tests {
         }
         let all: Vec<u64> = (0..1_000).collect();
         assert_eq!(
-            CommitDigest::expected(5, 1_000),
-            reference_digest(5, &all).0
+            CommitDigest::expected_prefixes(5, &[1_000]),
+            vec![reference_digest(5, &all).0]
         );
+    }
+
+    #[test]
+    fn expected_prefixes_equal_one_walk_per_count() {
+        let per_count = |chain_len: u64, c: u64| {
+            let mut d = CommitDigest::new(chain_len);
+            d.push_run(0, c);
+            d.finish()
+        };
+        let cases: [&[u64]; 5] = [
+            &[],
+            &[0],
+            &[9, 0, 4, 9, 1_000, 4, 0], // unsorted, repeated, zero
+            &[1_000, 999, 1, 2],
+            &[7, 7, 7],
+        ];
+        for chain_len in [1u64, 3, 5] {
+            for counts in cases {
+                let want: Vec<u64> = counts.iter().map(|&c| per_count(chain_len, c)).collect();
+                assert_eq!(
+                    CommitDigest::expected_prefixes(chain_len, counts),
+                    want,
+                    "chain {chain_len} counts {counts:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn verdict_counts_each_broken_digest_once() {
+        let clean = |c: u64| {
+            let mut d = CommitDigest::new(5);
+            d.push_run(0, c / 2);
+            d.push_run(c / 2, c - c / 2);
+            d
+        };
+        let counts = [0u64, 3_000, 1_234, 3_000, 17];
+        let cohort: Vec<CommitDigest> = counts.iter().map(|&c| clean(c)).collect();
+        assert_eq!(CommitDigest::violations(5, &cohort, &counts), 0);
+
+        // A planted gap: positions 100..102 never committed.
+        let mut gapped = cohort.clone();
+        let mut d = CommitDigest::new(5);
+        d.push_run(0, 100);
+        d.push_run(102, 1_132);
+        gapped[2] = d;
+        assert_eq!(CommitDigest::violations(5, &gapped, &counts), 1);
+
+        // A clean digest whose node claims one commit more, or one less.
+        for off_by_one in [3_001u64, 2_999] {
+            let mut claimed = counts;
+            claimed[3] = off_by_one;
+            assert_eq!(CommitDigest::violations(5, &cohort, &claimed), 1);
+        }
     }
 }

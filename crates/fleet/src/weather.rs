@@ -19,7 +19,8 @@
 //! Everything is piecewise-constant per `epoch_s` (60 s by default), so a
 //! node advancing analytically across an epoch does one O(1) evaluation
 //! per segment: no per-node profile Vec, no trigonometry in the hot loop
-//! beyond one `sin`.
+//! beyond one `sin`. The fleet reads it through a `SkyWindow`, which
+//! evaluates each recent `(region, epoch)` once for every node in it.
 
 use hems_core::cachekey::KeyHasher;
 use hems_units::XorShiftRng;
@@ -249,6 +250,87 @@ impl WeatherField {
     }
 }
 
+/// Most rows a [`SkyWindow`] holds, whatever lag it is asked to cover.
+const SKY_ROWS_MAX: u32 = 64;
+
+/// A rolling window over the sky's most recent epochs: a ring of rows,
+/// each holding every region's [`WeatherField::irradiance`] for one
+/// epoch, filled on first touch.
+///
+/// A fleet of nodes lagging the scheduler's clock by at most a few epochs
+/// reads each `(region, epoch)` value many times; the window computes it
+/// once. Every value it returns is either a row entry that
+/// `WeatherField::irradiance` wrote or a direct call to it, so reads are
+/// bit-identical to the field in any access order. An epoch older than
+/// the window goes straight to the field and evicts nothing: a row is only
+/// ever replaced by a newer epoch, after which it is outside the window
+/// for good, so no access pattern can thrash.
+#[derive(Debug, Default)]
+pub(crate) struct SkyWindow {
+    /// `rows × regions` values; row `epoch % rows` holds `epoch`.
+    values: Vec<f64>,
+    /// The epoch each row holds (`None` until first filled).
+    tags: Vec<Option<u32>>,
+    regions: usize,
+    /// The newest epoch any row holds.
+    newest: u32,
+}
+
+impl SkyWindow {
+    /// A window of `rows` epochs (capped at [`SKY_ROWS_MAX`], at least
+    /// one) over `regions` regions, every row empty.
+    pub(crate) fn new(regions: u32, rows: u32) -> SkyWindow {
+        let rows = rows.clamp(1, SKY_ROWS_MAX) as usize;
+        SkyWindow {
+            values: vec![0.0; rows * regions as usize],
+            tags: vec![None; rows],
+            regions: regions as usize,
+            newest: 0,
+        }
+    }
+
+    /// Rows in the ring (0 for the default, unsized window, which reads
+    /// everything from the field).
+    fn rows(&self) -> u32 {
+        self.tags.len() as u32
+    }
+
+    /// `weather.irradiance(region, epoch)`, from the window when `epoch`
+    /// is within it.
+    pub(crate) fn irradiance(&mut self, weather: &WeatherField, region: u32, epoch: u32) -> f64 {
+        let rows = self.rows();
+        let Some(slot) = epoch.checked_rem(rows) else {
+            return weather.irradiance(region, epoch);
+        };
+        if epoch.saturating_add(rows) <= self.newest {
+            return weather.irradiance(region, epoch);
+        }
+        let slot = slot as usize;
+        if self.tags.get(slot) != Some(&Some(epoch)) {
+            self.fill(weather, slot, epoch);
+        }
+        self.values
+            .get(slot * self.regions + region as usize)
+            .copied()
+            .unwrap_or_else(|| weather.irradiance(region, epoch))
+    }
+
+    /// Writes `epoch`'s row into `slot`, replacing an epoch at least one
+    /// window older.
+    fn fill(&mut self, weather: &WeatherField, slot: usize, epoch: u32) {
+        let start = slot * self.regions;
+        if let Some(row) = self.values.get_mut(start..start + self.regions) {
+            for (region, value) in row.iter_mut().enumerate() {
+                *value = weather.irradiance(region as u32, epoch);
+            }
+        }
+        if let Some(tag) = self.tags.get_mut(slot) {
+            *tag = Some(epoch);
+        }
+        self.newest = self.newest.max(epoch);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +407,65 @@ mod tests {
                 s.start_epoch
             );
             assert!(s.x1 > s.x0 && s.y1 > s.y0);
+        }
+    }
+
+    /// Reads `(region, epoch)` through the window and requires the exact
+    /// bits of the field.
+    fn read_exact(sky: &mut SkyWindow, w: &WeatherField, region: u32, epoch: u32) {
+        assert_eq!(
+            sky.irradiance(w, region, epoch).to_bits(),
+            w.irradiance(region, epoch).to_bits(),
+            "region {region} epoch {epoch}"
+        );
+    }
+
+    #[test]
+    fn sky_window_reads_are_bit_identical_in_any_order() {
+        use hems_units::XorShiftRng;
+        let w = WeatherField::new(9, 8, 8, 60.0, 2, 4);
+        assert!(!w.storms().is_empty());
+        let epochs = 2 * 1_440u32;
+        for wake_s in [600u32, 7_200] {
+            let lag = wake_s / 60;
+            let rows = lag + 2;
+
+            // Forward: every (region, epoch) in clock order.
+            let mut sky = SkyWindow::new(w.regions(), rows);
+            assert_eq!(sky.rows(), rows.min(SKY_ROWS_MAX));
+            for epoch in 0..epochs {
+                for region in 0..w.regions() {
+                    read_exact(&mut sky, &w, region, epoch);
+                }
+            }
+
+            // Seeded-random reads trailing the clock by up to the lag —
+            // beyond the cap at wake_s = 7200, so some take the fallback —
+            // plus the clock's own epoch, so every pair is read.
+            let mut sky = SkyWindow::new(w.regions(), rows);
+            let mut rng = XorShiftRng::seed_from_u64(u64::from(wake_s));
+            for now in 0..epochs {
+                for region in 0..w.regions() {
+                    read_exact(&mut sky, &w, region, now);
+                    let back = rng.below_u32(lag + 1).min(now);
+                    read_exact(&mut sky, &w, rng.below_u32(w.regions()), now - back);
+                }
+            }
+
+            // Far-backward reads take the exact path and evict no row.
+            let tags = sky.tags.clone();
+            for epoch in 0..epochs - sky.rows() {
+                for region in 0..w.regions() {
+                    read_exact(&mut sky, &w, region, epoch);
+                }
+            }
+            assert_eq!(sky.tags, tags, "a stale read evicted a row");
+        }
+
+        // The unsized default window reads everything from the field.
+        let mut sky = SkyWindow::default();
+        for epoch in (0..epochs).step_by(13) {
+            read_exact(&mut sky, &w, 5, epoch);
         }
     }
 
