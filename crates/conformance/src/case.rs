@@ -152,7 +152,7 @@ fn generate_spec(rng: &mut XorShiftRng) -> ScenarioSpec {
 }
 
 /// NDJSON frames for the codec oracle: well-formed request lines run
-/// through the chaos-proxy fault model (tears at arbitrary byte
+/// through the fault proxy's model (tears at arbitrary byte
 /// positions, splices of a different frame's tail, single bit flips) —
 /// the exact mutations the serve torn-frame fuzz used, now seeded here.
 fn generate_frames(rng: &mut XorShiftRng, specs: &[ScenarioSpec]) -> Vec<String> {

@@ -11,13 +11,17 @@
 //!    mismatch produces a field-level report (JSON path, both values,
 //!    both bit patterns, ulp distance), and intentional changes are
 //!    re-captured with an explicit `--bless`.
-//! 2. **Differential oracles** ([`oracles`]) — seeded generators
-//!    ([`case`]) drive seven oracles that pit independent
-//!    implementations of the same contract against each other: exact vs
-//!    LUT solvers, scalar vs `_many` batch kernels, the three sweep
-//!    engines, single- vs multi-threaded serve responses, torn NDJSON
-//!    frames, the fleet node machine vs `IntermittentRuntime`, and the
-//!    physics invariants of the transient simulator.
+//! 2. **Oracles** ([`oracles`]) — seeded generators ([`case`]) drive
+//!    twelve oracles. Eight pit independent implementations of the same
+//!    contract against each other: exact vs LUT solvers, scalar vs
+//!    `_many` batch kernels, the three sweep engines, single- vs
+//!    multi-threaded serve responses, bare serve vs router-fronted shard
+//!    sets, torn NDJSON frames, the fleet node machine vs
+//!    `IntermittentRuntime`, and the physics invariants of the transient
+//!    simulator. Four inject a fault per case and demand the fault-free
+//!    answer: a brownout mid-chain, panicking and stalled pool jobs,
+//!    torn/dropped/slow connections and direct attacks on serve, and a
+//!    crashed or slowed router backend.
 //! 3. **Shrinking** ([`shrink`]) — any divergence is deterministically
 //!    minimized (drop scenarios, simplify specs, shrink grids, halve
 //!    durations) and emitted as a one-line replayable repro
@@ -37,6 +41,7 @@
 pub mod case;
 pub mod corpus;
 pub mod error;
+mod faults;
 pub mod fixtures;
 pub mod oracles;
 pub mod shrink;

@@ -14,8 +14,9 @@
 //! `--check` diffs the recomputed fixtures against the committed
 //! goldens bit-for-bit; `--bless` re-captures them after an intentional
 //! change. `--fuzz` runs every oracle over seeded cases, shrinks any
-//! divergence, and prints a one-line repro; throughput lands in
-//! `--out` (default `BENCH_conformance.json`). Exit code 0 = clean,
+//! divergence, and prints a one-line repro; throughput and the run's
+//! provenance (`host.nproc`, git `rev`) land in `--out` (default
+//! `BENCH_conformance.json`). Exit code 0 = clean,
 //! 1 = divergence/mismatch, 2 = usage error. The only clock is
 //! `hems_obs::clock::monotonic_ns`, used for throughput and the time
 //! budget, never for test semantics.
@@ -29,10 +30,8 @@ use std::process::ExitCode;
 use hems_conformance::shrink::{self, Repro};
 use hems_conformance::{case, corpus, fixtures, oracles};
 use hems_conformance::{CaseInput, ConformanceError, OracleCtx, OracleKind};
-use hems_core::cachekey::KeyHasher;
 use hems_obs::clock::monotonic_ns;
 use hems_obs::json::Value;
-use hems_units::XorShiftRng;
 
 enum Mode {
     Check,
@@ -172,11 +171,6 @@ fn run_fuzz(args: &Args) -> Result<u64, ConformanceError> {
         .budget_ms
         .map(|ms| started.saturating_add(ms.saturating_mul(1_000_000)));
     'oracles: for kind in oracle_list {
-        // FNV-1a over the oracle name decorrelates each oracle's
-        // case-seed stream from the shared campaign seed.
-        let mut name_hash = KeyHasher::new();
-        name_hash.write_bytes(kind.name().as_bytes());
-        let mut rng = XorShiftRng::seed_from_u64(args.seed ^ name_hash.finish());
         let mut stat = OracleStats {
             name: kind.name(),
             cases: 0,
@@ -184,7 +178,7 @@ fn run_fuzz(args: &Args) -> Result<u64, ConformanceError> {
             wall_ms: 0.0,
         };
         let oracle_started = monotonic_ns();
-        for _ in 0..args.cases {
+        for case_seed in oracles::case_seeds(args.seed, kind).take(args.cases) {
             if let Some(deadline) = deadline {
                 if monotonic_ns() >= deadline {
                     eprintln!(
@@ -196,7 +190,6 @@ fn run_fuzz(args: &Args) -> Result<u64, ConformanceError> {
                     break 'oracles;
                 }
             }
-            let case_seed = rng.next_u64();
             let input = CaseInput::generate(case_seed);
             if let Some(divergence) = oracles::run(kind, &input, &mut ctx)? {
                 stat.divergences += 1;
@@ -268,6 +261,11 @@ fn write_bench(
         .collect();
     let bench = Value::obj(vec![
         ("seed", Value::Num(args.seed as f64)),
+        (
+            "host",
+            Value::obj(vec![("nproc", Value::Num(hems_obs::nproc() as f64))]),
+        ),
+        ("rev", Value::str(hems_obs::revision())),
         ("cases_requested", Value::Num(args.cases as f64)),
         ("fixtures", Value::Num(fixture_count as f64)),
         ("total_wall_ms", Value::Num(total_wall_ms)),

@@ -17,9 +17,14 @@
 //! | `json_frames`   | codec on torn frames       | itself (round-trip)            | no panic; render idempotent |
 //! | `fleet_runtime` | `NodeState` replay         | `IntermittentRuntime::run_observed` | same commit stream |
 //! | `physics`       | transient simulator        | conservation laws              | invariants hold; runs reproduce |
+//! | `power_faults`  | fault-free commit stream   | stream under a blackout        | brownout, resume, same prefix digest |
+//! | `compute_faults`| expected job values        | pool jobs with panics/latency  | `Err` exactly at the panicking slots |
+//! | `net_faults`    | direct serve answer        | answer through a faulting proxy | byte-identical; attacks survived; no serve panic |
+//! | `router_faults` | direct serve answers       | 3-shard tier through a crash or slow backend | byte-identical; slot healthy again |
 //!
-//! A hidden eighth oracle, `planted`, fails whenever a spec sits in the
-//! dark band — the known divergence the shrinker self-test minimizes.
+//! The four fault oracles live in `faults.rs`. A hidden thirteenth
+//! oracle, `planted`, fails whenever a spec sits in the dark band — the
+//! known divergence the shrinker self-test minimizes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -31,10 +36,10 @@ use hems_fleet::{NodeState, Schedule};
 use hems_intermittent::{CheckpointPolicy, CommitEvent, IntermittentRuntime, NvmModel, TaskChain};
 use hems_obs::json;
 use hems_pv::{Irradiance, PvLut, SolarCell};
-use hems_router::RouterHandle;
+use hems_router::{RouterConfig, RouterHandle};
 use hems_serve::planner::{self, PlanJob};
 use hems_serve::server::{serve, ServeConfig, ServerHandle};
-use hems_serve::{Client, ClientError, QueryKind, Request, RetryPolicy, ScenarioSpec};
+use hems_serve::{Client, ClientError, PlanAnswer, QueryKind, Request, RetryPolicy, ScenarioSpec};
 use hems_sim::sweep::{run_scenarios_batch, run_scenarios_chunked, run_scenarios_serial};
 use hems_sim::{
     ControlDecision, Controller, FixedVoltageController, LightProfile, PowerPath, Simulation,
@@ -45,6 +50,7 @@ use hems_units::{Seconds, Volts, Watts, XorShiftRng};
 
 use crate::case::CaseInput;
 use crate::error::ConformanceError;
+use crate::faults;
 
 /// Two paths disagreed. Carried as data — not an error — so the
 /// shrinker can re-run candidates and keep the freshest detail.
@@ -75,15 +81,23 @@ pub enum OracleKind {
     FleetRuntime,
     /// Conservation laws and reproducibility of the transient simulator.
     Physics,
+    /// Crash consistency of the intermittent runtime under a blackout.
+    PowerFaults,
+    /// Worker-pool isolation of panicking and slow jobs.
+    ComputeFaults,
+    /// Serve answers through torn, dropped and slow connections.
+    NetFaults,
+    /// Router answers through a backend crash or a slow backend.
+    RouterFaults,
     /// Self-test scaffolding: "fails" on any dark-band spec, so the
     /// shrinker has a known divergence to minimize.
     Planted,
 }
 
 impl OracleKind {
-    /// The eight real oracles, in fuzzing order. `Planted` is excluded:
+    /// The twelve real oracles, in fuzzing order. `Planted` is excluded:
     /// it exists only for the shrinker self-test.
-    pub fn all() -> [OracleKind; 8] {
+    pub fn all() -> [OracleKind; 12] {
         [
             OracleKind::SolverLut,
             OracleKind::BatchKernels,
@@ -93,6 +107,10 @@ impl OracleKind {
             OracleKind::JsonFrames,
             OracleKind::FleetRuntime,
             OracleKind::Physics,
+            OracleKind::PowerFaults,
+            OracleKind::ComputeFaults,
+            OracleKind::NetFaults,
+            OracleKind::RouterFaults,
         ]
     }
 
@@ -107,6 +125,10 @@ impl OracleKind {
             OracleKind::JsonFrames => "json_frames",
             OracleKind::FleetRuntime => "fleet_runtime",
             OracleKind::Physics => "physics",
+            OracleKind::PowerFaults => "power_faults",
+            OracleKind::ComputeFaults => "compute_faults",
+            OracleKind::NetFaults => "net_faults",
+            OracleKind::RouterFaults => "router_faults",
             OracleKind::Planted => "planted",
         }
     }
@@ -114,18 +136,10 @@ impl OracleKind {
     /// Parses [`OracleKind::name`] back; `planted` included so its
     /// repro lines replay like any other.
     pub fn from_name(name: &str) -> Option<OracleKind> {
-        Some(match name {
-            "solver_lut" => OracleKind::SolverLut,
-            "batch_kernels" => OracleKind::BatchKernels,
-            "sweep_engines" => OracleKind::SweepEngines,
-            "serve_threads" => OracleKind::ServeThreads,
-            "serve_sharded" => OracleKind::ServeSharded,
-            "json_frames" => OracleKind::JsonFrames,
-            "fleet_runtime" => OracleKind::FleetRuntime,
-            "physics" => OracleKind::Physics,
-            "planted" => OracleKind::Planted,
-            _ => return None,
-        })
+        OracleKind::all()
+            .into_iter()
+            .chain([OracleKind::Planted])
+            .find(|kind| kind.name() == name)
     }
 }
 
@@ -135,60 +149,84 @@ impl std::fmt::Display for OracleKind {
     }
 }
 
+/// The case seeds one oracle draws under a campaign seed: an xorshift
+/// stream seeded with the campaign seed xor the FNV-1a hash of the
+/// oracle's name, so every oracle gets its own stream. `--fuzz` and the
+/// tier-1 property suite both draw their cases here.
+pub fn case_seeds(campaign_seed: u64, kind: OracleKind) -> impl Iterator<Item = u64> {
+    let mut name_hash = KeyHasher::new();
+    name_hash.write_bytes(kind.name().as_bytes());
+    let mut rng = XorShiftRng::seed_from_u64(campaign_seed ^ name_hash.finish());
+    std::iter::repeat_with(move || rng.next_u64())
+}
+
 /// Shared, lazily-started infrastructure the oracles run against: one
-/// worker pool for the chunked engine and two loopback serve processes
-/// (1 worker thread vs 4) for the threading oracle. Reused across all
-/// cases of a fuzz run so per-case cost stays at request level.
+/// worker pool for the chunked engine and the compute faults, two
+/// loopback serve processes (1 worker thread vs 4) for the threading
+/// oracle, the router tiers, and the fault oracles' harnesses. Reused
+/// across all cases of a fuzz run so per-case cost stays at request
+/// level.
 pub struct OracleCtx {
-    pool: WorkerPool,
+    pub(crate) pool: WorkerPool,
     single: Option<(ServerHandle, Client)>,
     pooled: Option<(ServerHandle, Client)>,
     sharded: Option<ShardedTiers>,
+    pub(crate) power_reference: Option<Vec<CommitEvent>>,
+    pub(crate) net: Option<faults::NetHarness>,
+    pub(crate) fault_tier: Option<Tier>,
 }
 
 /// Router-fronted loopback tiers for the sharding oracle: the same
 /// shard-aware backends behind a 1-slot and a 3-slot consistent-hash
-/// router, with identity verification on so the handshake path is in
-/// the fuzzed surface. Declaration order matters: routers drop (and
-/// shut down) before the backends they front.
+/// router, with identity verification on (the router default) so the
+/// handshake path is in the fuzzed surface.
 struct ShardedTiers {
-    one_router: RouterHandle,
-    three_router: RouterHandle,
-    one_client: Client,
-    three_client: Client,
-    one_backends: Vec<ServerHandle>,
-    three_backends: Vec<ServerHandle>,
+    one: Tier,
+    three: Tier,
 }
 
-fn start_tier(
-    shards: usize,
-) -> Result<(Vec<ServerHandle>, RouterHandle, Client), ConformanceError> {
-    let mut backends = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let config = ServeConfig {
-            threads: Some(1),
-            cache_capacity: 512,
-            max_queue: 256,
-            max_batch: 8,
-            shard_id: Some(shard as u64),
-            ..ServeConfig::default()
-        };
-        backends.push(
-            serve("127.0.0.1:0", config)
-                .map_err(|e| ConformanceError::new("sharded loopback", e.to_string()))?,
-        );
-    }
+/// One router over its shard backends, with a client for the router.
+/// Field order is drop order: the router shuts down before its backends.
+pub(crate) struct Tier {
+    pub(crate) router: RouterHandle,
+    pub(crate) client: Client,
+    pub(crate) backends: Vec<ServerHandle>,
+}
+
+/// One shard-aware loopback backend, as every router tier runs them.
+pub(crate) fn start_shard(shard: usize) -> Result<ServerHandle, ConformanceError> {
+    let config = ServeConfig {
+        threads: Some(1),
+        cache_capacity: 512,
+        max_queue: 256,
+        max_batch: 8,
+        shard_id: Some(shard as u64),
+        ..ServeConfig::default()
+    };
+    serve("127.0.0.1:0", config)
+        .map_err(|e| ConformanceError::new("sharded loopback", e.to_string()))
+}
+
+/// Starts `shards` backends behind a router configured by `config`
+/// (its `backends` are filled in here).
+pub(crate) fn start_tier(shards: usize, config: RouterConfig) -> Result<Tier, ConformanceError> {
+    let backends = (0..shards)
+        .map(start_shard)
+        .collect::<Result<Vec<_>, _>>()?;
     let router = hems_router::route(
         "127.0.0.1:0",
-        hems_router::RouterConfig {
+        RouterConfig {
             backends: backends.iter().map(ServerHandle::addr).collect(),
-            verify_shard_ids: true,
-            ..hems_router::RouterConfig::default()
+            ..config
         },
     )
     .map_err(|e| ConformanceError::new("sharded loopback", e.to_string()))?;
     let client = Client::new(router.addr(), RetryPolicy::default());
-    Ok((backends, router, client))
+    Ok(Tier {
+        router,
+        client,
+        backends,
+    })
 }
 
 impl OracleCtx {
@@ -199,13 +237,26 @@ impl OracleCtx {
             single: None,
             pooled: None,
             sharded: None,
+            power_reference: None,
+            net: None,
+            fault_tier: None,
         }
     }
 
-    fn clients(&mut self) -> Result<(&mut Client, &mut Client), ConformanceError> {
+    /// The single-thread serve's client: the direct side every
+    /// transparency and fault oracle compares against.
+    pub(crate) fn direct(&mut self) -> Result<&mut Client, ConformanceError> {
         if self.single.is_none() {
             self.single = Some(start_server(1)?);
         }
+        self.single
+            .as_mut()
+            .map(|(_, client)| client)
+            .ok_or_else(|| ConformanceError::new("serve loopback", "server startup raced shutdown"))
+    }
+
+    fn clients(&mut self) -> Result<(&mut Client, &mut Client), ConformanceError> {
+        self.direct()?;
         if self.pooled.is_none() {
             self.pooled = Some(start_server(4)?);
         }
@@ -223,26 +274,18 @@ impl OracleCtx {
     fn sharded_trio(
         &mut self,
     ) -> Result<(&mut Client, &mut Client, &mut Client), ConformanceError> {
-        if self.single.is_none() {
-            self.single = Some(start_server(1)?);
-        }
+        self.direct()?;
         if self.sharded.is_none() {
-            let (one_backends, one_router, one_client) = start_tier(1)?;
-            let (three_backends, three_router, three_client) = start_tier(3)?;
             self.sharded = Some(ShardedTiers {
-                one_router,
-                three_router,
-                one_client,
-                three_client,
-                one_backends,
-                three_backends,
+                one: start_tier(1, RouterConfig::default())?,
+                three: start_tier(3, RouterConfig::default())?,
             });
         }
         match (self.single.as_mut(), self.sharded.as_mut()) {
             (Some(direct), Some(tiers)) => Ok((
                 &mut direct.1,
-                &mut tiers.one_client,
-                &mut tiers.three_client,
+                &mut tiers.one.client,
+                &mut tiers.three.client,
             )),
             _ => Err(ConformanceError::new(
                 "sharded loopback",
@@ -258,27 +301,6 @@ impl Default for OracleCtx {
     }
 }
 
-impl Drop for OracleCtx {
-    fn drop(&mut self) {
-        if let Some((mut handle, _)) = self.single.take() {
-            handle.shutdown();
-        }
-        if let Some((mut handle, _)) = self.pooled.take() {
-            handle.shutdown();
-        }
-        if let Some(mut tiers) = self.sharded.take() {
-            tiers.one_router.shutdown();
-            tiers.three_router.shutdown();
-            for backend in &mut tiers.one_backends {
-                backend.shutdown();
-            }
-            for backend in &mut tiers.three_backends {
-                backend.shutdown();
-            }
-        }
-    }
-}
-
 fn start_server(threads: usize) -> Result<(ServerHandle, Client), ConformanceError> {
     let config = ServeConfig {
         threads: Some(threads),
@@ -291,6 +313,24 @@ fn start_server(threads: usize) -> Result<(ServerHandle, Client), ConformanceErr
         .map_err(|e| ConformanceError::new("serve loopback", e.to_string()))?;
     let client = Client::new(handle.addr(), RetryPolicy::default());
     Ok((handle, client))
+}
+
+/// The query kind a transparency or fault oracle asks about `spec`: a
+/// pure function of the spec under the oracle's own tag, so a repro
+/// replays the identical request and different oracles cover different
+/// (spec, query) pairings for the same corpus.
+pub(crate) fn query_for(tag: &str, spec: &ScenarioSpec) -> QueryKind {
+    let mut hasher = KeyHasher::new();
+    hasher.write_tag(tag);
+    hasher.write_f64(spec.irradiance);
+    hasher.write_f64(spec.v_initial);
+    match hasher.finish() % 5 {
+        0 => QueryKind::OptimalPoint,
+        1 => QueryKind::Mep,
+        2 => QueryKind::Bypass,
+        3 => QueryKind::Sprint,
+        _ => QueryKind::SweepSummary,
+    }
 }
 
 /// Runs one oracle on one input.
@@ -313,6 +353,10 @@ pub fn run(
         OracleKind::JsonFrames => Ok(json_frames(input)),
         OracleKind::FleetRuntime => Ok(fleet_runtime(input)),
         OracleKind::Physics => Ok(physics(input)),
+        OracleKind::PowerFaults => faults::power_faults(input, ctx),
+        OracleKind::ComputeFaults => Ok(faults::compute_faults(input, &ctx.pool)),
+        OracleKind::NetFaults => faults::net_faults(input, ctx),
+        OracleKind::RouterFaults => faults::router_faults(input, ctx),
         OracleKind::Planted => Ok(planted(input)),
     }
 }
@@ -834,71 +878,16 @@ fn serve_threads(
     input: &CaseInput,
     ctx: &mut OracleCtx,
 ) -> Result<Option<Divergence>, ConformanceError> {
-    let kind = OracleKind::ServeThreads;
     let (single, pooled) = ctx.clients()?;
     for (si, spec) in input.specs.iter().enumerate() {
-        // The query kind is a pure function of the spec, so a repro
-        // replays the identical request.
-        let mut hasher = KeyHasher::new();
-        hasher.write_tag("serve-oracle");
-        hasher.write_f64(spec.irradiance);
-        hasher.write_f64(spec.v_initial);
-        let query = match hasher.finish() % 5 {
-            0 => QueryKind::OptimalPoint,
-            1 => QueryKind::Mep,
-            2 => QueryKind::Bypass,
-            3 => QueryKind::Sprint,
-            _ => QueryKind::SweepSummary,
-        };
+        let query = query_for("serve-oracle", spec);
         let a = single.plan(query, spec);
         let b = pooled.plan(query, spec);
-        match (a, b) {
-            (Ok(a), Ok(b)) => {
-                let left = a.result.render();
-                let right = b.result.render();
-                if left != right {
-                    return Ok(diverged(
-                        kind,
-                        format!(
-                            "spec {si} {}: 1-thread {} vs 4-thread {}",
-                            query.as_wire(),
-                            left,
-                            right
-                        ),
-                    ));
-                }
-            }
-            (Err(ClientError::Rejected(ma)), Err(ClientError::Rejected(mb))) => {
-                if ma != mb {
-                    return Ok(diverged(
-                        kind,
-                        format!(
-                            "spec {si} {}: 1-thread rejects '{ma}' vs 4-thread '{mb}'",
-                            query.as_wire()
-                        ),
-                    ));
-                }
-            }
-            (Err(ClientError::Exhausted { attempts, last }), _)
-            | (_, Err(ClientError::Exhausted { attempts, last })) => {
-                // Attempt exhaustion is a harness/transport failure,
-                // not a verdict about answer parity.
-                return Err(ConformanceError::new(
-                    "serve oracle",
-                    format!("attempts exhausted ({attempts}): {last}"),
-                ));
-            }
-            (a, b) => {
-                return Ok(diverged(
-                    kind,
-                    format!(
-                        "spec {si} {}: 1-thread {} vs 4-thread {}",
-                        query.as_wire(),
-                        plan_verdict(&a),
-                        plan_verdict(&b)
-                    ),
-                ));
-            }
+        if let Some(detail) = answer_parity("serve oracle", ("1-thread", &a), ("4-thread", &b))? {
+            return Ok(diverged(
+                OracleKind::ServeThreads,
+                format!("spec {si} {}: {detail}", query.as_wire()),
+            ));
         }
     }
     Ok(None)
@@ -912,79 +901,56 @@ fn serve_sharded(
     input: &CaseInput,
     ctx: &mut OracleCtx,
 ) -> Result<Option<Divergence>, ConformanceError> {
-    let kind = OracleKind::ServeSharded;
     let (direct, routed_one, routed_three) = ctx.sharded_trio()?;
     for (si, spec) in input.specs.iter().enumerate() {
-        // Same kind derivation as the threading oracle but under its
-        // own tag, so the two oracles cover different (spec, query)
-        // pairings for the same corpus.
-        let mut hasher = KeyHasher::new();
-        hasher.write_tag("sharded-oracle");
-        hasher.write_f64(spec.irradiance);
-        hasher.write_f64(spec.v_initial);
-        let query = match hasher.finish() % 5 {
-            0 => QueryKind::OptimalPoint,
-            1 => QueryKind::Mep,
-            2 => QueryKind::Bypass,
-            3 => QueryKind::Sprint,
-            _ => QueryKind::SweepSummary,
-        };
+        let query = query_for("sharded-oracle", spec);
         let a = direct.plan(query, spec);
         let b = routed_one.plan(query, spec);
         let c = routed_three.plan(query, spec);
-        for (side, other) in [("router/1", &b), ("router/3", &c)] {
-            match (&a, other) {
-                (Ok(a), Ok(o)) => {
-                    let left = a.result.render();
-                    let right = o.result.render();
-                    if left != right {
-                        return Ok(diverged(
-                            kind,
-                            format!(
-                                "spec {si} {}: direct {} vs {side} {}",
-                                query.as_wire(),
-                                left,
-                                right
-                            ),
-                        ));
-                    }
-                }
-                (Err(ClientError::Rejected(ma)), Err(ClientError::Rejected(mo))) => {
-                    if ma != mo {
-                        return Ok(diverged(
-                            kind,
-                            format!(
-                                "spec {si} {}: direct rejects '{ma}' vs {side} '{mo}'",
-                                query.as_wire()
-                            ),
-                        ));
-                    }
-                }
-                (Err(ClientError::Exhausted { attempts, last }), _)
-                | (_, Err(ClientError::Exhausted { attempts, last })) => {
-                    return Err(ConformanceError::new(
-                        "sharded oracle",
-                        format!("attempts exhausted ({attempts}): {last}"),
-                    ));
-                }
-                (a, o) => {
-                    return Ok(diverged(
-                        kind,
-                        format!(
-                            "spec {si} {}: direct {} vs {side} {}",
-                            query.as_wire(),
-                            plan_verdict(a),
-                            plan_verdict(o)
-                        ),
-                    ));
-                }
+        for side in [("router/1", &b), ("router/3", &c)] {
+            if let Some(detail) = answer_parity("sharded oracle", ("direct", &a), side)? {
+                return Ok(diverged(
+                    OracleKind::ServeSharded,
+                    format!("spec {si} {}: {detail}", query.as_wire()),
+                ));
             }
         }
     }
     Ok(None)
 }
 
-fn plan_verdict(r: &Result<hems_serve::PlanAnswer, ClientError>) -> &'static str {
+/// Compares two sides' answers to one plan request: `Some(detail)` when
+/// they differ. Attempt exhaustion on either side is a harness/transport
+/// failure, not a verdict about answer parity.
+fn answer_parity(
+    oracle: &str,
+    (left, a): (&str, &Result<PlanAnswer, ClientError>),
+    (right, b): (&str, &Result<PlanAnswer, ClientError>),
+) -> Result<Option<String>, ConformanceError> {
+    Ok(match (a, b) {
+        (Err(ClientError::Exhausted { attempts, last }), _)
+        | (_, Err(ClientError::Exhausted { attempts, last })) => {
+            return Err(ConformanceError::new(
+                oracle,
+                format!("attempts exhausted ({attempts}): {last}"),
+            ));
+        }
+        (Ok(a), Ok(b)) => {
+            let (a, b) = (a.result.render(), b.result.render());
+            (a != b).then(|| format!("{left} {a} vs {right} {b}"))
+        }
+        (Err(ClientError::Rejected(ma)), Err(ClientError::Rejected(mb))) => {
+            (ma != mb).then(|| format!("{left} rejects '{ma}' vs {right} '{mb}'"))
+        }
+        (a, b) => Some(format!(
+            "{left} {} vs {right} {}",
+            plan_verdict(a),
+            plan_verdict(b)
+        )),
+    })
+}
+
+fn plan_verdict(r: &Result<PlanAnswer, ClientError>) -> &'static str {
     match r {
         Ok(_) => "answered",
         Err(ClientError::Rejected(_)) => "rejected",
@@ -1201,8 +1167,9 @@ fn fleet_runtime(input: &CaseInput) -> Option<Divergence> {
     None
 }
 
-/// The chaos crate's commit-stream digest, restated: FNV over
-/// `(iteration, task)` pairs in commit order.
+/// The commit-stream digest: FNV over `(iteration, task)` pairs in
+/// commit order. Timestamps are left out, so a run that stalls through
+/// an outage and commits the same tasks later digests the same.
 pub fn digest_events(events: &[CommitEvent]) -> u64 {
     let mut hasher = KeyHasher::new();
     hasher.write_tag("commit-stream");

@@ -309,3 +309,25 @@ pub fn self_test(start_seed: u64, ctx: &mut OracleCtx) -> Result<Shrunk, Conform
     }
     Ok(shrunk)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn repro_lines_round_trip_for_every_oracle() {
+        for oracle in OracleKind::all().into_iter().chain([OracleKind::Planted]) {
+            for steps in [vec![], vec![3, 0, 12]] {
+                let repro = Repro {
+                    oracle,
+                    seed: 0x00c0_ffee,
+                    steps,
+                };
+                let line = repro.render();
+                assert!(line.starts_with(&format!("{}:0x", oracle.name())), "{line}");
+                assert_eq!(Repro::parse(&line).ok(), Some(repro), "{line}");
+            }
+        }
+        assert!(Repro::parse("chaos:0x0000000000000007:-").is_err());
+    }
+}

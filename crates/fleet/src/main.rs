@@ -26,7 +26,7 @@ use hems_fleet::{
 };
 use hems_obs::clock::monotonic_ns;
 use hems_obs::json::Value;
-use hems_obs::{fmt_ns, peak_rss_bytes};
+use hems_obs::{fmt_ns, nproc, peak_rss_bytes, revision};
 use hems_serve::server::{serve, ServeConfig};
 use std::process::ExitCode;
 
@@ -138,26 +138,6 @@ fn scaling_entry(run: &TimedRun) -> Value {
             Value::Num(run.node_seconds_per_sec()),
         ),
     ])
-}
-
-/// Hardware threads on this host (0 if unknown): speedups compare
-/// reports from the same host.
-fn nproc() -> usize {
-    std::thread::available_parallelism().map_or(0, |n| n.get())
-}
-
-/// The checked-out git revision (`git rev-parse HEAD`), or `"unknown"`
-/// outside a git checkout.
-fn revision() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn run(args: &Args) -> Result<u64, FleetError> {

@@ -28,7 +28,8 @@
 //!
 //! Committed positions are the node's externally visible result. Sampled
 //! nodes feed every committed `(iteration, task)` through the same
-//! FNV-1a digest the chaos power surface uses (tag `commit-stream`), and
+//! FNV-1a digest the conformance plane's commit-stream oracles use (tag
+//! `commit-stream`), and
 //! the campaign compares the accumulated digest against an independent
 //! recomputation over `0..committed` — a gap, duplicate, or regression
 //! anywhere in the batched/rolled-back bookkeeping breaks the equality.
@@ -522,7 +523,7 @@ impl NodeModel {
 }
 
 /// FNV-1a digest of a committed position stream — field-for-field the
-/// digest the chaos power surface computes over
+/// digest the conformance plane's `digest_events` computes over
 /// [`hems_intermittent::CommitEvent`] streams (tag, iteration, task;
 /// timestamps excluded).
 #[derive(Debug, Clone)]
@@ -895,7 +896,7 @@ mod tests {
     }
 
     #[test]
-    fn digest_matches_the_chaos_surface_shape() {
+    fn digest_matches_the_commit_stream_shape() {
         // Same tag, same fields: a contiguous stream's digest must match
         // a hand-rolled KeyHasher loop.
         let mut d = CommitDigest::new(3);

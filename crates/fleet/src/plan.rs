@@ -89,7 +89,7 @@ fn point_from_result(result: &Value, g_bucket: f64) -> Result<OperatingPoint, Fl
 }
 
 /// The pure in-process planner, memoized per bucket — the fast path for
-/// chaos campaigns and serve-free runs.
+/// tests and serve-free runs.
 #[derive(Debug, Default)]
 pub struct AnalyticPlans {
     memo: HashMap<u64, Option<OperatingPoint>>,

@@ -1,6 +1,6 @@
 //! The campaign's deterministic JSON-lines report.
 //!
-//! Same contract as the chaos crate's reports: every line is a
+//! Every line is a
 //! [`Value`] that must survive a render → parse → render round trip
 //! through the wire protocol's JSON codec (`hems_obs::json`), and the whole rendered text
 //! is byte-identical for the same `(seed, config)` — including the

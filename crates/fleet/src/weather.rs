@@ -14,7 +14,7 @@
 //!   at once, which is precisely what per-node independent RNG would
 //!   miss;
 //! * **storm overlays** — seeded rectangular regions forced dark for
-//!   minutes at a time: the chaos surface's regional brownout storms.
+//!   minutes at a time: the fleet's regional brownout storms.
 //!
 //! Everything is piecewise-constant per `epoch_s` (60 s by default), so a
 //! node advancing analytically across an epoch does one O(1) evaluation
@@ -82,8 +82,7 @@ pub struct WeatherField {
 }
 
 /// An independent, deterministic RNG stream for one named surface of the
-/// fleet — the same fan-out idiom the chaos crate's `FaultPlan` uses, so
-/// weather draws never perturb storm draws.
+/// fleet, so weather draws never perturb storm draws.
 pub fn seed_stream(seed: u64, surface: &str) -> XorShiftRng {
     let mut hasher = KeyHasher::new();
     hasher.write_tag("fleet-stream");

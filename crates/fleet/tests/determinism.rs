@@ -69,7 +69,7 @@ fn serve_and_analytic_sources_agree_byte_for_byte() {
     assert_eq!(via_serve, via_analytic);
 }
 
-/// The chaos crate's commit-stream digest, restated: FNV over
+/// The conformance plane's commit-stream digest, restated: FNV over
 /// `(iteration, task)` pairs in commit order.
 fn digest_events(events: &[CommitEvent]) -> u64 {
     let mut hasher = KeyHasher::new();
@@ -168,7 +168,7 @@ fn node_state_machine_matches_intermittent_runtime_exactly() {
         }
 
         // Commit streams are identical: same count, contiguous
-        // positions, same chaos-shaped digest.
+        // positions, same commit-stream digest.
         assert_eq!(
             node.committed,
             events.len() as u64,

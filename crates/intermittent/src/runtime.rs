@@ -448,7 +448,7 @@ mod tests {
 
     #[test]
     fn commit_stream_is_contiguous_even_under_power_cycling() {
-        // The crash-consistency invariant behind the chaos campaigns: the
+        // The crash-consistency invariant behind the power_faults oracle: the
         // observed commit stream is exactly positions 0, 1, 2, … regardless
         // of how many brownouts interrupt execution.
         let mut runtime =

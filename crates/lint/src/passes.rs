@@ -2,12 +2,12 @@
 //!
 //! 1. **Transitive panic-reachability** (`panic_reach`) — no function
 //!    reachable from the service plane (the same path set the lexical
-//!    `panic` rule gates: serve, the sim pool/sweep/engine, the core
-//!    solvers, chaos, obs, fleet, and this crate) may reach a panicking
-//!    construct anywhere in the workspace. The lexical rule already
-//!    covers panic sites *inside* the service plane; this pass covers
-//!    the helper one-or-more calls deep in a physics crate. The finding
-//!    prints the witness call chain.
+//!    `panic` rule gates: serve, the router, the sim pool/sweep/engine,
+//!    the core solvers, obs, fleet, conformance, and this crate) may
+//!    reach a panicking construct anywhere in the workspace. The lexical
+//!    rule already covers panic sites *inside* the service plane; this
+//!    pass covers the helper one-or-more calls deep in a physics crate.
+//!    The finding prints the witness call chain.
 //! 2. **Lock-order analysis** (`lock_order`) — records the partial
 //!    order of mutex acquisitions held across call edges in the
 //!    serve/pool/obs planes and flags (a) any cycle in that order (a
@@ -16,7 +16,7 @@
 //! 3. **Determinism taint** (`taint`) — seeds nondeterminism sources
 //!    (`HashMap`/`HashSet` iteration that is not re-sorted, raw clock
 //!    reads, `std::env` reads, thread ids) and flags any call path from
-//!    report/JSON-serialization code in chaos, fleet, or obs snapshots
+//!    report/JSON-serialization code in fleet or obs snapshots
 //!    to a source. This encodes statically the byte-reproducibility
 //!    contract the differential tests check dynamically.
 //!
@@ -72,11 +72,7 @@ fn lock_scope(rel: &str) -> bool {
 }
 
 /// Files whose every function is a determinism-taint sink.
-const TAINT_SINK_FILES: [&str; 3] = [
-    "crates/chaos/src/report.rs",
-    "crates/fleet/src/report.rs",
-    "crates/obs/src/snapshot.rs",
-];
+const TAINT_SINK_FILES: [&str; 2] = ["crates/fleet/src/report.rs", "crates/obs/src/snapshot.rs"];
 
 /// In the report-producing crates, functions with these name fragments
 /// are sinks even outside the sink files (e.g. `Registry::snapshot`).
@@ -86,9 +82,7 @@ fn is_taint_sink(rel: &str, f: &FnItem) -> bool {
     if TAINT_SINK_FILES.contains(&rel) {
         return true;
     }
-    let report_crate = rel.starts_with("crates/obs/src/")
-        || rel.starts_with("crates/chaos/src/")
-        || rel.starts_with("crates/fleet/src/");
+    let report_crate = rel.starts_with("crates/obs/src/") || rel.starts_with("crates/fleet/src/");
     report_crate && TAINT_SINK_NAME_HINTS.iter().any(|h| f.name.contains(h))
 }
 

@@ -52,19 +52,18 @@ impl RuleConfig {
 }
 
 /// Service-plane paths held to panic-freedom: the serve crate, the sim
-/// crate's pool/sweep/engine, the core solvers, the chaos harness (a
-/// fault injector that panics is indistinguishable from a fault), the
-/// fleet twin (one panicking node state machine kills a 100k-node
+/// crate's pool/sweep/engine, the core solvers, the fleet twin (one panicking node state machine kills a 100k-node
 /// campaign) — and this lint crate, which checks itself.
 pub fn panic_rule_applies(rel: &str) -> bool {
     rel.starts_with("crates/serve/src/")
         || rel.starts_with("crates/core/src/")
         || rel.starts_with("crates/lint/src/")
-        || rel.starts_with("crates/chaos/src/")
         || rel.starts_with("crates/obs/src/")
         || rel.starts_with("crates/fleet/src/")
         // The conformance gate: a panicking oracle or shrinker reads as
-        // a divergence in CI, so it is held to the same bar it enforces.
+        // a divergence in CI, so it is held to the same bar it enforces
+        // (and a fault oracle that panics is indistinguishable from the
+        // fault it injects).
         || rel.starts_with("crates/conformance/src/")
         // The serving front tier: a panicking router drops every shard
         // at once.

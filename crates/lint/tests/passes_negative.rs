@@ -203,7 +203,7 @@ pub fn render_rows() -> String {
 
 #[test]
 fn taint_hash_iteration_in_a_sink_file_fires() {
-    let result = run(&[("crates/chaos/src/report.rs", HASH_RENDER)]);
+    let result = run(&[("crates/fleet/src/report.rs", HASH_RENDER)]);
     assert_eq!(result.counts.taint, 1, "{}", rendered(&result.findings));
     let f = result
         .findings
@@ -223,7 +223,7 @@ fn taint_is_silenced_by_reasoned_allow() {
         "    for (k, _v)",
         "    // hems-lint: allow(taint, reason = \"single-entry map in this fixture\")\n    for (k, _v)",
     );
-    let result = run(&[("crates/chaos/src/report.rs", &silenced)]);
+    let result = run(&[("crates/fleet/src/report.rs", &silenced)]);
     assert_eq!(result.counts.taint, 0, "{}", rendered(&result.findings));
 }
 
@@ -235,7 +235,7 @@ fn taint_is_laundered_by_a_sort() {
          keys.sort();\n\
          for k in keys {",
     );
-    let result = run(&[("crates/chaos/src/report.rs", &sorted)]);
+    let result = run(&[("crates/fleet/src/report.rs", &sorted)]);
     assert_eq!(result.counts.taint, 0, "{}", rendered(&result.findings));
 }
 
@@ -243,7 +243,7 @@ fn taint_is_laundered_by_a_sort() {
 fn taint_clock_read_reached_from_a_sink_fires_transitively() {
     let result = run(&[
         (
-            "crates/chaos/src/report.rs",
+            "crates/fleet/src/report.rs",
             "pub fn report() -> u64 { hems_sim::stamp() }",
         ),
         (
@@ -271,7 +271,7 @@ fn vec_iteration_in_a_sink_is_not_tainted() {
     // A Vec iteration in the same sink file must not be condemned just
     // because the body mentions a hash type elsewhere.
     let result = run(&[(
-        "crates/chaos/src/report.rs",
+        "crates/fleet/src/report.rs",
         "use std::collections::HashMap;\n\
          pub fn render_list(xs: &Vec<u32>, _m: &HashMap<u32, u32>) -> u32 {\n\
          let mut sum = 0;\n\

@@ -42,7 +42,7 @@ impl Clock for MonotonicClock {
 
 /// A clock that only advances when told to — spans measured against it
 /// are exactly reproducible, which is what the span-duration unit
-/// tests and the chaos campaign's byte-stable snapshots need.
+/// tests and the fleet campaign's byte-stable snapshots need.
 #[derive(Debug, Default)]
 pub struct ManualClock {
     now: AtomicU64,

@@ -16,7 +16,7 @@
 //!   and independent of thread interleaving.
 //! - **Registries** — [`global()`] is the process-wide registry on
 //!   the real monotonic clock; components needing reproducible or
-//!   isolated numbers (chaos campaigns, per-server serve stats) own
+//!   isolated numbers (fleet campaigns, per-server serve stats) own
 //!   private [`Registry`] instances, optionally on a [`ManualClock`].
 //! - **Spans** — [`span!`] returns a guard whose drop records elapsed
 //!   nanoseconds into a histogram; durations come from the registry's
@@ -49,4 +49,4 @@ pub use metrics::{enabled, set_enabled, Counter, Gauge, Histogram};
 pub use registry::{global, Registry};
 pub use snapshot::{Bucket, HistogramSnapshot, Series, SeriesData, Snapshot};
 pub use span::SpanGuard;
-pub use stats::{fmt_ns, peak_rss_bytes, percentile};
+pub use stats::{fmt_ns, nproc, peak_rss_bytes, percentile, revision};

@@ -6,7 +6,7 @@
 //! the shared cores and never take the lock again. One process-wide
 //! registry ([`global`]) backs the `span!` macro and the standing
 //! instrumentation in sim/serve; components that need isolated,
-//! reproducible numbers (the chaos campaign, per-server serve stats)
+//! reproducible numbers (fleet campaigns, per-server serve stats)
 //! own private registries instead.
 
 use crate::clock::{Clock, MonotonicClock};

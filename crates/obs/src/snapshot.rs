@@ -2,7 +2,7 @@
 //! estimation, interval diffing, and JSON export.
 //!
 //! [`Snapshot::to_value`] is the one snapshot format: integers only,
-//! sorted keys. The `metrics` query verb, the chaos and fleet reports
+//! sorted keys. The `metrics` query verb and the fleet report
 //! embed it as a [`Value`], and [`Snapshot::from_value`] reads it back
 //! (the router's merged `metrics` view of its shards).
 

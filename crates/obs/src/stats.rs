@@ -1,5 +1,5 @@
-//! Sample statistics and process figures shared by the bench reports,
-//! the load generator and the fleet binary.
+//! Sample statistics and process figures shared by the bench reports
+//! and the fleet and conformance binaries.
 
 /// Interpolated `p`-th percentile (`0.0..=100.0`) of an ascending-sorted
 /// slice; `0.0` for an empty slice.
@@ -32,6 +32,26 @@ pub fn peak_rss_bytes() -> Option<u64> {
         }
     }
     None
+}
+
+/// Hardware threads available to this process (`0` when unknown): the
+/// `host.nproc` every BENCH report records.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
+}
+
+/// The checked-out git revision (`git rev-parse HEAD`), or `"unknown"`
+/// outside a git checkout: the `rev` every BENCH report records.
+pub fn revision() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Formats a nanosecond count with an adaptive unit.

@@ -78,7 +78,7 @@ fn snapshot_totals_are_independent_of_thread_interleaving() {
 
 #[test]
 fn repeated_runs_of_the_same_seed_render_identically() {
-    // Beyond struct equality: the exported JSON (what the chaos
+    // Beyond struct equality: the exported JSON (what the fleet
     // report embeds) is byte-stable when the clock is manual.
     let clock = Arc::new(hems_obs::ManualClock::new(0));
     let render = |clock: &Arc<hems_obs::ManualClock>| {

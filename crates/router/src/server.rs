@@ -37,9 +37,9 @@
 //! ## Determinism
 //!
 //! Retry backoff jitter and the probe schedule draw from one seeded
-//! xorshift stream per concern ([`RouterConfig::seed`]), so a chaos
-//! campaign replaying the same seed sees the same retry timing and the
-//! same probe cadence.
+//! xorshift stream per concern ([`RouterConfig::seed`]), so two tiers
+//! started with the same seed see the same retry timing and the same
+//! probe cadence.
 
 use crate::backend::{Backend, DialConfig};
 use crate::health::{HealthPolicy, Transition};

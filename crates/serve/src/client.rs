@@ -18,7 +18,7 @@
 //! [`RetryPolicy::base_delay`] up to [`RetryPolicy::max_delay`], scaled by
 //! a deterministic jitter factor in `[0.5, 1.0]` drawn from the seeded
 //! xorshift RNG — the same seed always produces the same retry schedule,
-//! which keeps chaos campaigns reproducible.
+//! which keeps fault-injection runs reproducible.
 
 use crate::json::{parse, Value};
 use crate::proto::{QueryKind, Request, ScenarioSpec};

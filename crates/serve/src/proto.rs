@@ -172,6 +172,12 @@ impl PolicySpec {
     }
 }
 
+/// Longest `duration` or `deadline` a scenario may ask for, seconds. A
+/// transient query steps the simulator once per `dt` of it on a worker
+/// thread, so an unbounded value (one bit flip turns `0.004` into
+/// `4e300`) would pin a worker for as long as the client asks.
+pub const MAX_SIMULATED_S: f64 = 1.0;
+
 /// The scenario a plan query is about. Every field but `irradiance` is
 /// optional on the wire, defaulting to the paper's Fig. 10 system.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,9 +248,19 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns a rendered error for out-of-range light levels or
-    /// unrealizable capacitances.
+    /// Returns a rendered error for out-of-range light levels, durations
+    /// or deadlines, or unrealizable capacitances.
     pub fn build(&self) -> Result<(SystemConfig, SweepPolicy), String> {
+        for (name, seconds) in [
+            ("duration", Some(self.duration)),
+            ("deadline", self.deadline),
+        ] {
+            if seconds.is_some_and(|t| !(0.0..=MAX_SIMULATED_S).contains(&t)) {
+                return Err(format!(
+                    "scenario.{name} must be in [0, {MAX_SIMULATED_S}] s"
+                ));
+            }
+        }
         let mut config = SystemConfig::paper_sc_system().map_err(|e| e.to_string())?;
         let g = hems_pv::Irradiance::new(self.irradiance).map_err(|e| e.to_string())?;
         config.cell.set_irradiance(g);
@@ -509,6 +525,20 @@ mod tests {
     }
 
     #[test]
+    fn simulated_spans_past_the_cap_are_rejected() {
+        let mut spec = ScenarioSpec::baseline(0.5);
+        spec.duration = MAX_SIMULATED_S;
+        spec.deadline = Some(0.0);
+        assert!(spec.build().is_ok(), "both ends of the range build");
+        for (duration, deadline) in [(4e300, None), (-0.01, None), (0.04, Some(7.5))] {
+            spec.duration = duration;
+            spec.deadline = deadline;
+            let err = spec.build().unwrap_err();
+            assert!(err.contains("must be in [0, 1] s"), "{err}");
+        }
+    }
+
+    #[test]
     fn render_parse_round_trips() {
         let mut spec = ScenarioSpec::baseline(0.25);
         spec.regulator = RegulatorChoice::Buck;
@@ -526,7 +556,7 @@ mod tests {
 
     #[test]
     fn torn_frames_error_at_every_split_and_never_panic() {
-        // The chaos-proxy fault model: a frame torn mid-byte arrives as a
+        // The fault proxy's model: a frame torn mid-byte arrives as a
         // prefix (tear at the boundary) or as a prefix with garbage where
         // the rest should be (tear plus the next frame's bytes). The
         // parser must reject every such input with an error — never panic

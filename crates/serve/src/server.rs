@@ -88,7 +88,8 @@ pub struct ServeConfig {
     /// Per-connection write deadline: a client that stops draining its
     /// receive window cannot pin a writer forever. `None` disables it.
     pub write_timeout: Option<Duration>,
-    /// Deterministic fault injection for chaos campaigns: `Some(n)` makes
+    /// Deterministic fault injection for the `net_faults` conformance
+    /// oracle: `Some(n)` makes
     /// every n-th batched job panic inside the worker pool instead of
     /// solving. The panic exercises the real isolation path — the slot's
     /// waiters get a retryable degraded response, the batch survives, the
@@ -139,7 +140,7 @@ struct Shared {
     drained_cv: (Mutex<bool>, Condvar),
     pool: WorkerPool,
     /// Jobs dispatched to the pool so far — the deterministic counter the
-    /// `inject_panic_one_in` chaos hook keys off.
+    /// `inject_panic_one_in` fault hook keys off.
     jobs_dispatched: AtomicU64,
 }
 
@@ -196,8 +197,8 @@ impl ServerHandle {
     /// Initiates graceful shutdown *without* joining: stops accepting,
     /// wakes the batcher to drain, and returns once the listener is
     /// closed, so a new connect is refused from then on. This is the
-    /// drain hook a supervisor (the router's drain-and-rejoin protocol,
-    /// the chaos crash/restart surface) uses to take a backend out of
+    /// drain hook a supervisor (the router's drain-and-rejoin protocol)
+    /// uses to take a backend out of
     /// rotation while its in-flight batches still complete and its open
     /// connections still get answers; follow with
     /// [`ServerHandle::wait`] or [`ServerHandle::shutdown`] to join.

@@ -58,7 +58,7 @@ pub enum LightProfile {
     },
     /// A base profile with scheduled total blackouts overlaid — the fault
     /// injection hook: inside any `[start, end)` window the irradiance is
-    /// forced dark regardless of the base profile, so a chaos campaign can
+    /// forced dark regardless of the base profile, so a fault oracle can
     /// provoke a brownout at an exact, reproducible time.
     Outages {
         /// The profile in effect outside the outage windows.

@@ -4,7 +4,7 @@
 # benchmark harnesses (one un-warmed call per bench, so every bench
 # target's code path runs and its report is written and well-formed).
 # Every report this script writes lands under target/ (target/verify/
-# for the chaos, fleet and conformance bins, target/bench-smoke/ for the
+# for the fleet and conformance bins, target/bench-smoke/ for the
 # smoke benches), so a run never rewrites a committed BENCH_*.json.
 #
 # Usage: scripts/verify.sh
@@ -58,19 +58,14 @@ PYEOF
 cargo test --release -q -p hems-lint --test gate json_output_round_trips > /dev/null \
     || { echo "verify: hems-lint JSON round-trip through hems_obs::json failed" >&2; exit 1; }
 
-echo "== chaos: seeded campaign (writes $out/BENCH_chaos.json) =="
-# Fixed-seed smoke campaign (DESIGN.md §11): brownouts at checkpoint
-# boundaries, worker-pool panics, and torn/dropped/slow connections
-# through the chaos proxy. The bin exits nonzero if any injected fault
-# goes unrecovered; the report is byte-for-byte reproducible per seed.
-cargo run --release -q -p hems-chaos -- --seed 7 --smoke --out "$out/BENCH_chaos.json" > /dev/null
-
 echo "== fleet: smoke (writes $out/BENCH_fleet.json) =="
 # Fleet-twin smoke campaign (DESIGN.md §14): a small seeded fleet runs a
 # full simulated day through the serve-backed planning tier, with
 # regional brownout storms and sampled commit-digest checks. The bin
 # exits nonzero on any crash-consistency violation or unrecovered storm;
-# the report lines are byte-for-byte reproducible per seed.
+# the report lines are byte-for-byte reproducible per seed. This stage
+# is where regional storms are faulted: the shape check pins that at
+# least one storm ran and every storm recovered.
 cargo run --release -q -p hems-fleet -- --smoke --out "$out/BENCH_fleet.json" > /dev/null
 # Shape check: the smoke report says it is one and carries its
 # provenance, so it can never pass for a committed full-run figure.
@@ -81,8 +76,12 @@ assert report["mode"] == "smoke", f"fleet report mode {report['mode']!r}, want '
 assert report["host"]["nproc"] >= 1, f"fleet report host.nproc {report['host']['nproc']}"
 assert isinstance(report["rev"], str) and report["rev"], "fleet report has no rev string"
 assert report["violations"] == 0, f"{report['violations']} crash-consistency violations"
+assert report["storms"] >= 1, f"fleet smoke ran {report['storms']} storms, want >= 1"
+assert report["storms_recovered"] == report["storms"], \
+    f"{report['storms_recovered']} of {report['storms']} storms recovered"
 print(f"verify: fleet smoke report at rev {report['rev'][:12]}, "
-      f"nproc {report['host']['nproc']}, 0 violations")
+      f"nproc {report['host']['nproc']}, 0 violations, "
+      f"{report['storms']}/{report['storms']} storms recovered")
 EOF
 
 echo "== conformance: goldens + fuzz (writes $out/BENCH_conformance.json) =="
@@ -91,8 +90,11 @@ echo "== conformance: goldens + fuzz (writes $out/BENCH_conformance.json) =="
 # changes are re-captured with --bless), the committed corpus of
 # interesting seeds must replay clean, the seeded differential fuzz
 # plane must find no divergence between any fast path and its
-# reference, and the shrinker must still minimize a planted divergence
-# to a one-line repro. All timing goes through hems_obs::clock.
+# reference, the fault oracles (brownouts, pool panics, torn/dropped/
+# slow connections and attacks on serve, router backend crashes and
+# slow backends) must recover every injected fault with zero serve
+# panics, and the shrinker must still minimize a planted divergence to
+# a one-line repro. All timing goes through hems_obs::clock.
 cargo run --release -q -p hems-conformance -- --check
 cargo run --release -q -p hems-conformance -- --corpus
 cargo run --release -q -p hems-conformance -- --self-test
@@ -102,8 +104,13 @@ python3 - "$out/BENCH_conformance.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 assert report["fixtures"] >= 10, f"only {report['fixtures']} golden fixtures"
+assert report["host"]["nproc"] >= 1, f"conformance report host.nproc {report['host']['nproc']}"
+assert isinstance(report["rev"], str) and report["rev"], "conformance report has no rev string"
 oracles = report["oracles"]
 assert len(oracles) >= 6, f"only {len(oracles)} oracles ran"
+names = {o["name"] for o in oracles}
+for fault in ("power_faults", "compute_faults", "net_faults", "router_faults"):
+    assert fault in names, f"fault oracle {fault} did not run"
 for oracle in oracles:
     name, cases = oracle["name"], oracle["cases"]
     assert cases >= 500, f"oracle {name} ran only {cases} cases"
@@ -145,8 +152,8 @@ cargo run --release -q --example metrics_query > /dev/null
 
 # The obs bench self-validates its report before exiting; double-check
 # the files landed where the docs say.
-for report in "$smoke/BENCH_sweep.json" "$out/BENCH_chaos.json" "$smoke/BENCH_obs.json" \
-    "$out/BENCH_fleet.json" "$out/BENCH_conformance.json"; do
+for report in "$smoke/BENCH_sweep.json" "$smoke/BENCH_obs.json" "$out/BENCH_fleet.json" \
+    "$out/BENCH_conformance.json"; do
     [ -s "$report" ] || { echo "verify: missing $report" >&2; exit 1; }
 done
 

@@ -13,13 +13,12 @@
 use hems_conformance::{oracles, CaseInput, OracleCtx, OracleKind};
 
 /// Seeds for this suite come from one fixed campaign seed, decorrelated
-/// per oracle exactly like the binary's `--fuzz` mode.
+/// per oracle by the same `oracles::case_seeds` the binary's `--fuzz`
+/// mode draws from.
 const CAMPAIGN_SEED: u64 = 0x70_4E;
 
 fn run_cases(kind: OracleKind, cases: usize, ctx: &mut OracleCtx) {
-    let mut rng = hems_units::XorShiftRng::seed_from_u64(CAMPAIGN_SEED ^ kind.name().len() as u64);
-    for _ in 0..cases {
-        let seed = rng.next_u64();
+    for seed in oracles::case_seeds(CAMPAIGN_SEED, kind).take(cases) {
         let input = CaseInput::generate(seed);
         let divergence = oracles::run(kind, &input, ctx)
             .unwrap_or_else(|e| panic!("harness failure on {kind} seed 0x{seed:016x}: {e}"));
